@@ -164,6 +164,7 @@ fn main() {
                 // The CI profile appends the stale-index-cache axis: its
                 // five fill-kill-recover-use cells ride the same tier-1
                 // invocation as the crash matrix.
+                eprint!("{}", report.render_wall_clock());
                 print!("{}", report.render());
                 let cache = run_cache_matrix(seed, cache_progress(verbose));
                 print!("{}", cache.render());
@@ -314,6 +315,7 @@ fn main() {
         _ => usage(),
     };
 
+    eprint!("{}", report.render_wall_clock());
     print!("{}", report.render());
     std::process::exit(if report.clean() { 0 } else { 1 });
 }

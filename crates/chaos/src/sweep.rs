@@ -45,21 +45,44 @@ impl SweepReport {
         self.violating_cells() == 0
     }
 
-    /// Renders the coverage report: per-axis explored-cell counts, how
-    /// often armed faults actually fired, violations, and minimized
-    /// counterexamples.
+    /// Renders the wall-clock lines: the report header with the elapsed
+    /// seconds, the per-phase wall time, and the per-invariant-class check
+    /// time. They differ from run to run, so the CLI prints them on stderr
+    /// and keeps [`SweepReport::render`] byte-stable.
+    pub fn render_wall_clock(&self) -> String {
+        let ms: u128 = self.outcomes.iter().map(|o| o.duration_ms).sum();
+        let mut s = format!(
+            "chaos report: {} cells, seed {:#x}, {:.1}s\n",
+            self.outcomes.len(),
+            self.seed,
+            ms as f64 / 1000.0
+        );
+        let sum = |f: &dyn Fn(&CellOutcome) -> f64| -> f64 { self.outcomes.iter().map(f).sum() };
+        s.push_str(&format!(
+            "  phase wall-time: setup {:.1}s  ckpt {:.1}s  op {:.1}s  recovery {:.1}s\n",
+            sum(&|o| o.phases.setup_ms) / 1e3,
+            sum(&|o| o.phases.ckpt_ms) / 1e3,
+            sum(&|o| o.phases.op_ms) / 1e3,
+            sum(&|o| o.phases.recovery_ms) / 1e3,
+        ));
+        s.push_str("  invariant check wall-time:\n");
+        for (i, name) in INVARIANT_CLASSES.iter().enumerate() {
+            s.push_str(&format!(
+                "    {name:<24} {:>8.1} ms\n",
+                sum(&|o| o.phases.invariants_ms[i])
+            ));
+        }
+        s
+    }
+
+    /// Renders the deterministic coverage report: per-axis explored-cell
+    /// counts, how often armed faults actually fired, violations, and
+    /// minimized counterexamples.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let total = self.outcomes.len();
         let fired = self.outcomes.iter().filter(|o| o.injection_fired).count();
         let killed = self.outcomes.iter().filter(|o| o.mn_killed).count();
         let crashed = self.outcomes.iter().filter(|o| o.client_crashed).count();
-        let ms: u128 = self.outcomes.iter().map(|o| o.duration_ms).sum();
-        s.push_str(&format!(
-            "chaos report: {total} cells, seed {:#x}, {:.1}s\n",
-            self.seed,
-            ms as f64 / 1000.0
-        ));
         s.push_str(&format!(
             "  injections fired: {fired}   MNs killed: {killed}   clients crashed: {crashed}\n"
         ));
@@ -86,22 +109,6 @@ impl SweepReport {
         axis("injection site", &|o| o.cell.site.to_string());
         axis("kill timing", &|o| o.cell.kill.to_string());
         axis("reclaim state", &|o| o.cell.reclaim.to_string());
-
-        let sum = |f: &dyn Fn(&CellOutcome) -> f64| -> f64 { self.outcomes.iter().map(f).sum() };
-        s.push_str(&format!(
-            "  phase wall-time: setup {:.1}s  ckpt {:.1}s  op {:.1}s  recovery {:.1}s\n",
-            sum(&|o| o.phases.setup_ms) / 1e3,
-            sum(&|o| o.phases.ckpt_ms) / 1e3,
-            sum(&|o| o.phases.op_ms) / 1e3,
-            sum(&|o| o.phases.recovery_ms) / 1e3,
-        ));
-        s.push_str("  invariant check wall-time:\n");
-        for (i, name) in INVARIANT_CLASSES.iter().enumerate() {
-            s.push_str(&format!(
-                "    {name:<24} {:>8.1} ms\n",
-                sum(&|o| o.phases.invariants_ms[i])
-            ));
-        }
 
         let bad = self.violating_cells();
         if bad == 0 {

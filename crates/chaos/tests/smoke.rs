@@ -47,8 +47,10 @@ fn ci_slice_is_clean_and_deterministic() {
     // The slice must exercise the machinery, not just quiet cells.
     assert!(a.outcomes.iter().any(|o| o.mn_killed), "no MN ever killed");
 
-    // The report renders a coverage section and the explored-cell count.
-    let rendered = a.render();
-    assert!(rendered.contains("chaos report"));
-    assert!(rendered.contains(&format!("{} cells", cells.len())));
+    // The report renders a coverage section, and its header (printed
+    // with the other wall-clock lines) carries the explored-cell count.
+    assert!(a.render().contains("coverage by operation"));
+    let header = a.render_wall_clock();
+    assert!(header.starts_with("chaos report"));
+    assert!(header.contains(&format!("{} cells", cells.len())));
 }
