@@ -1,36 +1,39 @@
 //! `chaos analyze` — the happens-before race detector driven over the
 //! executions the harness already produces.
 //!
-//! Five stages, all seeded from one master seed:
+//! Seven stages, all seeded from one master seed:
 //!
 //! 1. **Traced sweep** — every cell of the (CI or full) crash matrix runs
 //!    under a fresh [`aceso_san::Detector`], with the identical per-cell
-//!    seeds the plain `sweep` would use, so any reported race replays with
+//!    seeds the plain `sweep` would use, so a reported race replays with
 //!    `chaos cell <id> --seed <cell seed>`.
 //! 2. **Multi-client YCSB-A trace** — four clients share one store and
 //!    interleave a Zipfian 50/50 read/update mix; the detector checks that
 //!    every cross-client handoff is ordered by a commit CAS, lock CAS,
 //!    FAA, RPC, or barrier edge.
-//! 3. **Runtime-axis trace** — both [`crate::rt_axis`] kills rerun under
-//!    the detector: coroutine clients interleave at *round-trip*
-//!    granularity on one OS thread, so per-client trace ids must survive
-//!    the interleaving for the happens-before graph to stay sound.
-//! 4. **Elastic-axis trace** — a representative slice of the
-//!    kill-mid-rebalance matrix ([`crate::elastic_axis`]) reruns under the
-//!    detector: client verbs interleave with the migrator's fence installs
-//!    and copy RPCs, so every cross-epoch handoff (stale write → fence
-//!    bounce → refreshed write) must be RPC- or barrier-ordered.
-//! 5. **Backends-axis trace** — a slice of the per-engine crash matrix
-//!    ([`crate::backends_axis`]) reruns under the detector, one cell per
+//!
+//! Stages 3–6 trace each axis's [`crate::Axis::traced`] slice on the
+//! master seed *verbatim* (not a per-cell seed), so a finding there
+//! replays by rerunning `chaos analyze` with the same seed — `chaos cell`
+//! replays crash-matrix cells only.
+//!
+//! 3. **Runtime axis** ([`crate::rt_axis`]) — coroutine clients
+//!    interleave at *round-trip* granularity on one OS thread, so
+//!    per-client trace ids must survive the interleaving for the
+//!    happens-before graph to stay sound.
+//! 4. **Elastic axis** ([`crate::elastic_axis`]) — client verbs
+//!    interleave with the migrator's fence installs and copy RPCs, so
+//!    every cross-epoch handoff (stale write → fence bounce → refreshed
+//!    write) must be RPC- or barrier-ordered.
+//! 5. **Backends axis** ([`crate::backends_axis`]) — one cell per
 //!    [`aceso_engines::EngineKind`]: the replication engines' commit
 //!    protocols (write-then-CAS publication, doorbell-batched 1-RTT
 //!    commits) must order every cross-client handoff just as Aceso's do,
 //!    including across a torn write and its reconcile pass.
-//! 6. **Cache-axis trace** — a slice of the stale-index-cache matrix
-//!    ([`crate::cache_axis`]) reruns under the detector: a node (or the
-//!    client) dies between cache fill and use, so the hot-cache fast
-//!    path's revalidating slot re-reads must be ordered against the
-//!    recovery stream that rebuilt the memory they land on.
+//! 6. **Cache axis** ([`crate::cache_axis`]) — a node (or the client)
+//!    dies between cache fill and use, so the hot-cache fast path's
+//!    revalidating slot re-reads must be ordered against the recovery
+//!    stream that rebuilt the memory they land on.
 //! 7. **Liveness + lints** — the mutation self-tests
 //!    ([`aceso_san::selftest`]) prove each ordering edge is actually
 //!    checked (a weakened edge must produce a report), and the static
@@ -41,47 +44,19 @@
 //! detector violations, every self-test live, zero lint findings — and the
 //! traced cells still hold their invariants.
 
-use crate::backends_axis::{
-    run_backends_cell_with_sink, BackendCell, BackendFault, BackendOp,
-};
-use crate::cache_axis::{run_cache_cell_with_sink, CacheCell, CacheKill, CacheOp};
+use crate::axis::{annotator, render_slice, trace_matrix, trace_slice, Traced};
+use crate::backends_axis::BackendsAxis;
+use crate::cache_axis::CacheAxis;
 use crate::cell::Cell;
-use crate::elastic_axis::{run_elastic_cell_with_sink, ElasticBoundary, ElasticCell, ElasticKill};
-use crate::rt_axis::{run_rt_cell_with_sink, RtKill};
-use crate::runner::{chaos_config, run_cell_with_sink};
-use crate::sweep::cell_seeds;
-use aceso_core::AcesoStore;
-use aceso_engines::EngineKind;
-use aceso_index::IndexWord;
+use crate::elastic_axis::ElasticAxis;
+use crate::fixture::Fixture;
+use crate::rt_axis::RtAxis;
+use crate::runner::CrashMatrix;
 use aceso_rdma::TraceSink;
-use aceso_san::{lint, selftest, Annotator, Detector, SelftestOutcome};
+use aceso_san::{lint, selftest, Detector, SelftestOutcome};
 use aceso_workloads::ycsb::YcsbKind;
 use aceso_workloads::{value_for, Op, YcsbWorkload};
 use std::sync::Arc;
-
-/// Detector findings for one traced matrix cell.
-#[derive(Clone, Debug)]
-pub struct CellTrace {
-    /// The cell that ran.
-    pub cell: Cell,
-    /// Its (sweep-identical) seed.
-    pub seed: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-    /// Events the detector processed.
-    pub events: u64,
-}
-
-impl CellTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
 
 /// Detector findings for the multi-client YCSB trace.
 #[derive(Clone, Debug)]
@@ -98,123 +73,23 @@ pub struct YcsbTrace {
     pub errors: Vec<String>,
 }
 
-/// Detector findings for one traced runtime-axis cell (N coroutine
-/// clients multiplexed on one executor thread, killed mid-suspension).
-#[derive(Clone, Debug)]
-pub struct RtTrace {
-    /// The kill the cell armed.
-    pub kill: RtKill,
-    /// Tasks multiplexed on the executor thread.
-    pub tasks: usize,
-    /// Tasks still mid-op when the fault fired.
-    pub inflight_at_fault: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl RtTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
-
-/// Detector findings for one traced elastic-axis cell (a node or client
-/// dies at a migrator step boundary under live traffic).
-#[derive(Clone, Debug)]
-pub struct ElasticTrace {
-    /// The cell that ran.
-    pub cell: ElasticCell,
-    /// Client ops that committed while the migration was in flight.
-    pub committed_ops: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl ElasticTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
-
-/// Detector findings for one traced backends-axis cell (the shared crash
-/// script against one [`aceso_core::FtEngine`] implementation).
-#[derive(Clone, Debug)]
-pub struct BackendsTrace {
-    /// The cell that ran.
-    pub cell: BackendCell,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl BackendsTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
-
-/// Detector findings for one traced cache-axis cell (a node or client
-/// dies between cache fill and use).
-#[derive(Clone, Debug)]
-pub struct CacheTrace {
-    /// The cell that ran.
-    pub cell: CacheCell,
-    /// Cache entries the sweep client held when the kill landed.
-    pub warm_entries: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl CacheTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
-
 /// Everything one `chaos analyze` run produced.
 #[derive(Clone, Debug)]
 pub struct AnalyzeReport {
     /// The master seed.
     pub seed: u64,
     /// Per-cell detector findings, in sweep order.
-    pub cells: Vec<CellTrace>,
+    pub cells: Vec<Traced<CrashMatrix>>,
     /// The YCSB-A trace findings.
     pub ycsb: YcsbTrace,
-    /// The runtime-axis trace findings (one per [`RtKill`]).
-    pub rt: Vec<RtTrace>,
-    /// The elastic-axis trace findings (one per traced cell).
-    pub elastic: Vec<ElasticTrace>,
-    /// The backends-axis trace findings (one per traced cell).
-    pub backends: Vec<BackendsTrace>,
-    /// The cache-axis trace findings (one per traced cell).
-    pub cache: Vec<CacheTrace>,
+    /// The runtime-axis slice (one per [`crate::RtKill`]).
+    pub rt: Vec<Traced<RtAxis>>,
+    /// The elastic-axis slice.
+    pub elastic: Vec<Traced<ElasticAxis>>,
+    /// The backends-axis slice.
+    pub backends: Vec<Traced<BackendsAxis>>,
+    /// The cache-axis slice.
+    pub cache: Vec<Traced<CacheAxis>>,
     /// Mutation self-test outcomes (detector liveness proof).
     pub selftests: Vec<SelftestOutcome>,
     /// Static protocol lint findings.
@@ -224,13 +99,13 @@ pub struct AnalyzeReport {
 impl AnalyzeReport {
     /// `true` when every stage came back clean.
     pub fn clean(&self) -> bool {
-        self.cells.iter().all(CellTrace::ok)
+        self.cells.iter().all(Traced::ok)
             && self.ycsb.races.is_empty()
             && self.ycsb.errors.is_empty()
-            && self.rt.iter().all(RtTrace::ok)
-            && self.elastic.iter().all(ElasticTrace::ok)
-            && self.backends.iter().all(BackendsTrace::ok)
-            && self.cache.iter().all(CacheTrace::ok)
+            && self.rt.iter().all(Traced::ok)
+            && self.elastic.iter().all(Traced::ok)
+            && self.backends.iter().all(Traced::ok)
+            && self.cache.iter().all(Traced::ok)
             && self.selftests.iter().all(SelftestOutcome::ok)
             && self.lint_violations.is_empty()
     }
@@ -243,7 +118,7 @@ impl AnalyzeReport {
         let broken = self
             .cells
             .iter()
-            .filter(|c| !c.cell_violations.is_empty() || !c.detector_violations.is_empty())
+            .filter(|c| !c.out.ok() || !c.detector_violations.is_empty())
             .count();
         s.push_str(&format!(
             "analyze report: seed {:#x}\n  sweep: {} cells traced, {} events, {} racy cells, {} otherwise-violating cells\n",
@@ -254,16 +129,8 @@ impl AnalyzeReport {
             broken
         ));
         for c in self.cells.iter().filter(|c| !c.ok()) {
-            s.push_str(&format!("    cell {} (seed {:#x}):\n", c.cell, c.seed));
-            for r in &c.races {
-                s.push_str(&format!("      race: {r}\n"));
-            }
-            for v in &c.detector_violations {
-                s.push_str(&format!("      detector: {v}\n"));
-            }
-            for v in &c.cell_violations {
-                s.push_str(&format!("      invariant: {v}\n"));
-            }
+            s.push_str(&format!("    cell {} (seed {:#x}):\n", c.out.cell, c.out.seed));
+            s.push_str(&c.findings("      "));
         }
         s.push_str(&format!(
             "  {}: {} clients, {} ops, {} events, {} races\n",
@@ -279,78 +146,10 @@ impl AnalyzeReport {
         for e in &self.ycsb.errors {
             s.push_str(&format!("    error: {e}\n"));
         }
-        for t in &self.rt {
-            s.push_str(&format!(
-                "  rt {}: {} tasks (one thread), {} in flight at fault, {} events, {} races\n",
-                t.kill.label(),
-                t.tasks,
-                t.inflight_at_fault,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.elastic {
-            s.push_str(&format!(
-                "  elastic {}: {} ops under migration, {} events, {} races\n",
-                t.cell,
-                t.committed_ops,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.backends {
-            s.push_str(&format!(
-                "  backends {}: {} events, {} races\n",
-                t.cell,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.cache {
-            s.push_str(&format!(
-                "  cache {}: {} warm entries at kill, {} events, {} races\n",
-                t.cell,
-                t.warm_entries,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
+        s.push_str(&render_slice(&self.rt));
+        s.push_str(&render_slice(&self.elastic));
+        s.push_str(&render_slice(&self.backends));
+        s.push_str(&render_slice(&self.cache));
         s.push_str("  detector liveness (mutation self-tests):\n");
         for t in &self.selftests {
             if t.ok() {
@@ -384,58 +183,6 @@ impl AnalyzeReport {
     }
 }
 
-/// Maps a traced address to its protocol role, so race reports read as
-/// "index slot Meta word g3/s12", not bare offsets. All chaos-store nodes
-/// share one memory map.
-fn annotator() -> Annotator {
-    let map = chaos_config().memory_map();
-    Box::new(move |_node, off| match map.index.classify_word(off) {
-        IndexWord::Atomic { group, slot } => Some(format!("index slot Atomic word g{group}/s{slot}")),
-        IndexWord::Meta { group, slot } => Some(format!("index slot Meta word g{group}/s{slot}")),
-        IndexWord::IndexVersion => Some("Index Version word".into()),
-        IndexWord::OutsideIndex => {
-            if let Some((id, rel)) = map.blocks.locate(off) {
-                Some(format!("block {id} +{rel:#x} ({:?})", map.blocks.kind_of(id)))
-            } else if off >= map.blocks.meta_base
-                && off < map.blocks.meta_base + map.blocks.meta_size()
-            {
-                Some("alloc-table record area".into())
-            } else {
-                None
-            }
-        }
-    })
-}
-
-/// Runs every cell under a fresh detector with sweep-identical seeds.
-/// `progress` is called after each cell (CLI verbosity hook).
-pub fn analyze_cells(
-    cells: &[Cell],
-    seed: u64,
-    mut progress: impl FnMut(&CellTrace),
-) -> Vec<CellTrace> {
-    let seeds = cell_seeds(seed, cells.len());
-    cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let det = Arc::new(Detector::with_annotator(annotator()));
-            let sink: Arc<dyn TraceSink> = det.clone();
-            let out = run_cell_with_sink(cell, cell_seed, Some(sink));
-            let trace = CellTrace {
-                cell: *cell,
-                seed: cell_seed,
-                races: det.races().iter().map(|r| r.to_string()).collect(),
-                detector_violations: det.violations(),
-                cell_violations: out.violations,
-                events: det.events(),
-            };
-            progress(&trace);
-            trace
-        })
-        .collect()
-}
-
 /// Four logical clients interleaving YCSB-A over one store, traced.
 ///
 /// The interleaving is round-robin in a single thread so the schedule is
@@ -445,52 +192,50 @@ pub fn analyze_cells(
 /// edge. The keyspace and op count are sized to stay well inside fresh
 /// blocks (no reclamation) and inside the CI time budget.
 pub fn analyze_ycsb(seed: u64) -> YcsbTrace {
-    const CLIENTS: usize = 4;
-    const KEYS: u64 = 200;
-    const OPS: usize = 2000;
-    const VALUE_LEN: usize = 64;
-
     let det = Arc::new(Detector::with_annotator(annotator()));
     let mut trace = YcsbTrace {
-        clients: CLIENTS,
+        clients: YCSB_CLIENTS,
         ops: 0,
         events: 0,
         races: Vec::new(),
         errors: Vec::new(),
     };
-    let store = match AcesoStore::launch(chaos_config()) {
-        Ok(s) => s,
-        Err(e) => {
-            trace.errors.push(format!("launch: {e}"));
-            return trace;
-        }
-    };
-    store.cluster.install_trace_sink(det.clone());
-
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for _ in 0..CLIENTS {
-        match store.client() {
-            Ok(c) => clients.push(c),
-            Err(e) => {
-                trace.errors.push(format!("client: {e}"));
-                return trace;
-            }
-        }
+    if let Err(e) = run_ycsb(seed, det.clone(), &mut trace) {
+        trace.errors.push(e);
     }
+    trace.races = det.races().iter().map(|r| r.to_string()).collect();
+    trace
+        .errors
+        .extend(det.violations().iter().map(|v| format!("detector: {v}")));
+    trace.events = det.events();
+    trace
+}
 
+const YCSB_CLIENTS: usize = 4;
+
+/// The traced YCSB-A run itself; `Err` is a setup failure.
+fn run_ycsb(seed: u64, sink: Arc<dyn TraceSink>, trace: &mut YcsbTrace) -> Result<(), String> {
+    const KEYS: u64 = 200;
+    const OPS: usize = 2000;
+    const VALUE_LEN: usize = 64;
+
+    let fx = Fixture::launch(seed, Some(sink))?;
+    let mut clients = (0..YCSB_CLIENTS)
+        .map(|_| fx.store.client())
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("client: {e}"))?;
     for key in YcsbWorkload::preload_keys(KEYS) {
-        if let Err(e) = clients[0].insert(&key, &value_for(&key, 0, VALUE_LEN)) {
-            trace.errors.push(format!("preload: {e}"));
-            return trace;
-        }
+        clients[0]
+            .insert(&key, &value_for(&key, 0, VALUE_LEN))
+            .map_err(|e| format!("preload: {e}"))?;
     }
-    store.cluster.trace_barrier();
+    fx.store.cluster.trace_barrier();
 
-    let mut streams: Vec<YcsbWorkload> = (0..CLIENTS)
+    let mut streams: Vec<YcsbWorkload> = (0..YCSB_CLIENTS)
         .map(|i| YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, i as u32, seed))
         .collect();
     for opno in 0..OPS {
-        let i = opno % CLIENTS;
+        let i = opno % YCSB_CLIENTS;
         let req = streams[i].next().expect("ycsb streams are infinite");
         let val = value_for(&req.key, opno as u64, req.value_len);
         let res = match req.op {
@@ -507,190 +252,26 @@ pub fn analyze_ycsb(seed: u64) -> YcsbTrace {
         }
         trace.ops += 1;
     }
-
-    store.cluster.trace_barrier();
-    store.shutdown();
-    trace.races = det.races().iter().map(|r| r.to_string()).collect();
-    trace
-        .errors
-        .extend(det.violations().iter().map(|v| format!("detector: {v}")));
-    trace.events = det.events();
-    trace
+    fx.store.cluster.trace_barrier();
+    Ok(())
 }
 
-/// Both runtime-axis cells, traced: the kill lands while several
-/// coroutine clients are suspended mid-op on one executor thread, and
-/// the detector must still order every cross-client handoff — the
-/// per-client trace ids have to survive the interleaving.
-pub fn analyze_rt(seed: u64) -> Vec<RtTrace> {
-    [RtKill::Mn, RtKill::Cn]
-        .into_iter()
-        .map(|kill| {
-            let det = Arc::new(Detector::with_annotator(annotator()));
-            let sink: Arc<dyn TraceSink> = det.clone();
-            let out = run_rt_cell_with_sink(kill, seed, Some(sink));
-            RtTrace {
-                kill,
-                tasks: out.tasks,
-                inflight_at_fault: out.inflight_at_fault,
-                events: det.events(),
-                races: det.races().iter().map(|r| r.to_string()).collect(),
-                detector_violations: det.violations(),
-                cell_violations: out.violations,
-            }
-        })
-        .collect()
-}
-
-/// A representative slice of the elastic axis, traced: the abort path
-/// (join target dies mid-copy), the rebuild path (drain source dies at
-/// announce), and a CN crash at the publish handover. Client verbs
-/// interleave with the migrator's fence installs and copy RPCs; the
-/// detector must order every stale-write → fence-bounce → refreshed-write
-/// handoff.
-pub fn analyze_elastic(seed: u64) -> Vec<ElasticTrace> {
-    [
-        ElasticCell {
-            kill: ElasticKill::JoinMn,
-            boundary: ElasticBoundary::Copy,
-        },
-        ElasticCell {
-            kill: ElasticKill::DrainMn,
-            boundary: ElasticBoundary::Announce,
-        },
-        ElasticCell {
-            kill: ElasticKill::Cn,
-            boundary: ElasticBoundary::Publish,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = Arc::new(Detector::with_annotator(annotator()));
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_elastic_cell_with_sink(&cell, seed, Some(sink));
-        ElasticTrace {
-            cell,
-            committed_ops: out.committed_ops,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// A per-engine slice of the backends axis, traced: one cell per engine
-/// kind, chosen so each strategy's commit protocol is exercised across a
-/// fault — Aceso through the seam (a home-node kill mid-update), FUSEE's
-/// write-then-CAS replication across a torn client write plus its
-/// reconcile pass, and SWARM's doorbell-batched commit across both fault
-/// kinds. Aceso cells keep the memory-map annotator; the replication
-/// engines have their own layouts, so their detectors run unannotated.
-pub fn analyze_backends(seed: u64) -> Vec<BackendsTrace> {
-    [
-        BackendCell {
-            engine: EngineKind::Aceso,
-            op: BackendOp::Update,
-            fault: BackendFault::KillMn,
-            skip: 0,
-        },
-        BackendCell {
-            engine: EngineKind::Fusee,
-            op: BackendOp::Update,
-            fault: BackendFault::CrashCn,
-            skip: 0,
-        },
-        BackendCell {
-            engine: EngineKind::Swarm,
-            op: BackendOp::Update,
-            fault: BackendFault::CrashCn,
-            skip: 2,
-        },
-        BackendCell {
-            engine: EngineKind::Swarm,
-            op: BackendOp::Insert,
-            fault: BackendFault::KillMn,
-            skip: 0,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = if cell.engine == EngineKind::Aceso {
-            Arc::new(Detector::with_annotator(annotator()))
-        } else {
-            Arc::new(Detector::new())
-        };
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_backends_cell_with_sink(&cell, seed, Some(sink));
-        BackendsTrace {
-            cell,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// A representative slice of the cache axis, traced: the stale-cache
-/// SEARCH fast path, the stale-cache UPDATE speculation, and the hot-cache
-/// CN crash. The kill lands between cache fill and use, so the detector
-/// must order the sweeper's revalidating slot re-reads against the
-/// recovery stream that rebuilt (or repaired) the memory they land on.
-pub fn analyze_cache(seed: u64) -> Vec<CacheTrace> {
-    [
-        CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Search,
-        },
-        CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Update,
-        },
-        CacheCell {
-            kill: CacheKill::Cn,
-            op: CacheOp::Update,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = Arc::new(Detector::with_annotator(annotator()));
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_cache_cell_with_sink(&cell, seed, Some(sink));
-        CacheTrace {
-            cell,
-            warm_entries: out.warm_entries,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// Runs all seven stages.
+/// Runs all seven stages. The crash-matrix cells run with the sweep's
+/// per-cell seeds; every axis slice runs on `seed` verbatim (see
+/// [`crate::axis`]).
 pub fn analyze(
     cells: &[Cell],
     seed: u64,
-    progress: impl FnMut(&CellTrace),
+    progress: impl FnMut(&Traced<CrashMatrix>),
 ) -> AnalyzeReport {
-    let cell_traces = analyze_cells(cells, seed, progress);
-    let ycsb = analyze_ycsb(seed);
-    let rt = analyze_rt(seed);
-    let elastic = analyze_elastic(seed);
-    let backends = analyze_backends(seed);
-    let cache = analyze_cache(seed);
     AnalyzeReport {
         seed,
-        cells: cell_traces,
-        ycsb,
-        rt,
-        elastic,
-        backends,
-        cache,
+        cells: trace_matrix(cells, seed, progress),
+        ycsb: analyze_ycsb(seed),
+        rt: trace_slice(seed),
+        elastic: trace_slice(seed),
+        backends: trace_slice(seed),
+        cache: trace_slice(seed),
         selftests: selftest::run_all(),
         lint_violations: lint::run_all(),
     }
@@ -699,8 +280,19 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::Axis;
     use crate::cell::{InjectionSite, KillTiming, OpType, ReclaimState};
     use aceso_core::client::CrashPoint;
+
+    /// Every cell of the axis's traced slice is race-free, held its
+    /// invariants, and actually produced a trace.
+    fn assert_slice_clean<A: Axis>(traces: &[Traced<A>]) {
+        assert_eq!(traces.len(), A::traced().len());
+        for t in traces {
+            assert!(t.ok(), "{} {}:\n{}", A::NAME, t.out.cell, t.findings("  "));
+            assert!(t.events > 100, "{} {}: only {} events", A::NAME, t.out.cell, t.events);
+        }
+    }
 
     /// One quiet cell and one crashing cell, both traced: no races, and
     /// the detector actually saw the execution.
@@ -720,9 +312,9 @@ mod tests {
                 reclaim: ReclaimState::Fresh,
             },
         ];
-        for t in analyze_cells(&cells, 41, |_| {}) {
-            assert!(t.ok(), "cell {}: races {:?}, violations {:?}/{:?}", t.cell, t.races, t.detector_violations, t.cell_violations);
-            assert!(t.events > 100, "cell {}: only {} events traced", t.cell, t.events);
+        for t in trace_matrix::<CrashMatrix>(&cells, 41, |_| {}) {
+            assert!(t.ok(), "cell {}:\n{}", t.out.cell, t.findings("  "));
+            assert!(t.events > 100, "cell {}: only {} events traced", t.out.cell, t.events);
         }
     }
 
@@ -731,18 +323,9 @@ mod tests {
     /// granularity on one thread, and the cell invariants hold.
     #[test]
     fn rt_traces_are_race_free() {
-        for t in analyze_rt(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "rt {}: races {:?}, violations {:?}/{:?}",
-                t.kill.label(),
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "rt {}: only {} events", t.kill.label(), t.events);
-            assert!(t.inflight_at_fault >= 2);
-        }
+        let traces = trace_slice::<RtAxis>(crate::DEFAULT_SEED);
+        assert_slice_clean(&traces);
+        assert!(traces.iter().all(|t| t.out.stats.inflight_at_fault >= 2));
     }
 
     /// The traced elastic slice is race-free: the migrator's fence/copy
@@ -750,18 +333,9 @@ mod tests {
     /// conflicting accesses, and the cells hold their invariants.
     #[test]
     fn elastic_traces_are_race_free() {
-        for t in analyze_elastic(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "elastic {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "elastic {}: only {} events", t.cell, t.events);
-            assert!(t.committed_ops > 0, "elastic {}: no ops committed", t.cell);
-        }
+        let traces = trace_slice::<ElasticAxis>(crate::DEFAULT_SEED);
+        assert_slice_clean(&traces);
+        assert!(traces.iter().all(|t| t.out.stats.committed_ops > 0));
     }
 
     /// The traced backends slice is race-free on every engine: FUSEE's
@@ -770,17 +344,7 @@ mod tests {
     /// kills, just like Aceso's native protocol.
     #[test]
     fn backends_traces_are_race_free() {
-        for t in analyze_backends(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "backends {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "backends {}: only {} events", t.cell, t.events);
-        }
+        assert_slice_clean(&trace_slice::<BackendsAxis>(crate::DEFAULT_SEED));
     }
 
     /// The traced cache slice is race-free: the kill between cache fill
@@ -789,18 +353,9 @@ mod tests {
     /// the no-stale-read-after-recovery invariant.
     #[test]
     fn cache_traces_are_race_free() {
-        for t in analyze_cache(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "cache {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "cache {}: only {} events", t.cell, t.events);
-            assert!(t.warm_entries > 0, "cache {}: cache never warm", t.cell);
-        }
+        let traces = trace_slice::<CacheAxis>(crate::DEFAULT_SEED);
+        assert_slice_clean(&traces);
+        assert!(traces.iter().all(|t| t.out.stats.warm_entries > 0));
     }
 
     /// The multi-client YCSB-A interleaving is race-free and replays

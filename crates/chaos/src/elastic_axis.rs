@@ -31,9 +31,10 @@
 //! does not (a stale snapshot never writes the join target before its
 //! first fence bounce; nothing addresses a retired source post-publish).
 //!
-//! Post-conditions are the matrix invariants (oracle agreement with
-//! per-key ambiguity windows, meta-lock liveness, Index-Version
-//! monotonicity, parity scrub) plus two elastic ones:
+//! Post-conditions are the shared judge's ([`crate::fixture`]: oracle
+//! agreement with per-key ambiguity windows, meta-lock liveness,
+//! Index-Version monotonicity, parity scrub, no degraded window left
+//! open) plus two elastic ones:
 //!
 //! 1. **Placement-epoch monotonicity** — the placement epoch strictly
 //!    increases at every migrator step and never decreases across aborts
@@ -42,16 +43,13 @@
 //!    placement snapshot's `retired` list is dead, no directory entry
 //!    serves one, and a fresh client can still read the entire oracle.
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
-use crate::sweep::cell_seeds;
+use crate::axis::{Axis, Outcome};
+use crate::fixture::{fail_fast, fmt_key, gen_value, written_off, Fixture};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoClient, AcesoStore, ClientTuning, ElasticStep, StoreError};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, TraceSink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use aceso_core::{recover_mn, AcesoClient, ElasticStep, Migration};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule, TraceSink};
+use rand::Rng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Preloaded keys the traffic windows draw from.
 const KEYS: usize = 24;
@@ -122,15 +120,10 @@ impl ElasticBoundary {
         }
     }
 
-    /// The [`FaultPlan`] phase of this boundary's traffic window.
-    fn phase(&self) -> u32 {
-        match self {
-            ElasticBoundary::Announce => 0,
-            ElasticBoundary::Copy => 1,
-            ElasticBoundary::Reencode => 2,
-            ElasticBoundary::Publish => 3,
-            ElasticBoundary::Free => 4,
-        }
+    /// The [`FaultPlan`] phase of this boundary's traffic window: its
+    /// position in step order.
+    fn phase(self) -> u32 {
+        self as u32
     }
 }
 
@@ -160,28 +153,16 @@ impl core::fmt::Display for ElasticCell {
     }
 }
 
-/// The full 15-cell matrix, in kill-major order.
-pub fn elastic_matrix() -> Vec<ElasticCell> {
-    let mut cells = Vec::with_capacity(15);
-    for kill in [ElasticKill::JoinMn, ElasticKill::DrainMn, ElasticKill::Cn] {
-        for boundary in ElasticBoundary::all() {
-            cells.push(ElasticCell { kill, boundary });
-        }
-    }
-    cells
-}
+/// The kill-mid-rebalance axis: three kills × five migrator step
+/// boundaries.
+#[derive(Clone, Copy, Debug)]
+pub struct ElasticAxis;
 
-/// What one elastic cell run observed.
-#[derive(Clone, Debug)]
-pub struct ElasticOutcome {
-    /// The cell that ran.
-    pub cell: ElasticCell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
+/// What one elastic cell run observed beyond its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ElasticStats {
     /// The column that was migrated.
     pub col: usize,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
     /// Whether the MN kill fired on a traffic-client verb (mid-op) rather
     /// than by the direct fallback.
     pub kill_fired_at_verb: bool,
@@ -191,27 +172,66 @@ pub struct ElasticOutcome {
     pub committed_ops: usize,
     /// The placement epoch recorded after each migrator step.
     pub epochs: Vec<u64>,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
 }
 
-impl ElasticOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+impl Axis for ElasticAxis {
+    const NAME: &'static str = "elastic";
+    const CELLS: &'static str = "kill-mid-rebalance cells";
+    const CLEAN: &'static str = "every kill-mid-rebalance cell held its invariants";
+    type Cell = ElasticCell;
+    type Stats = ElasticStats;
+
+    /// The full 15-cell matrix, in kill-major order (the same for `--ci`).
+    fn cells(_seed: u64, _ci: bool) -> Vec<ElasticCell> {
+        let kills = [ElasticKill::JoinMn, ElasticKill::DrainMn, ElasticKill::Cn];
+        let all = kills.into_iter().flat_map(|kill| ElasticBoundary::all().map(|boundary| ElasticCell { kill, boundary }));
+        all.collect()
+    }
+
+    fn exec(
+        cell: &ElasticCell,
+        seed: u64,
+        sink: Option<Arc<dyn TraceSink>>,
+        out: &mut Outcome<Self>,
+    ) -> Result<(), String> {
+        run_elastic_cell_inner(cell, seed, out, sink)
+    }
+
+    fn summary(outcomes: &[Outcome<Self>]) -> String {
+        let committed: usize = outcomes.iter().map(|o| o.stats.committed_ops).sum();
+        let verb_kills = outcomes.iter().filter(|o| o.stats.kill_fired_at_verb).count();
+        let aborts = outcomes.iter().filter(|o| o.stats.aborted).count();
+        format!("{committed} committed ops under migration, {verb_kills} mid-op verb kills, {aborts} aborts")
+    }
+
+    fn detail(o: &Outcome<Self>) -> String {
+        format!(
+            "col {}, {} ops committed, verb-kill={}, aborted={}",
+            o.stats.col, o.stats.committed_ops, o.stats.kill_fired_at_verb, o.stats.aborted
+        )
+    }
+
+    /// The abort path (join target dies mid-copy), the rebuild path
+    /// (drain source dies at announce), and a CN crash at the publish
+    /// handover. Client verbs interleave with the migrator's fence
+    /// installs and copy RPCs; the detector must order every stale-write
+    /// → fence-bounce → refreshed-write handoff.
+    fn traced() -> Vec<ElasticCell> {
+        use {ElasticBoundary as B, ElasticKill as K};
+        [(K::JoinMn, B::Copy), (K::DrainMn, B::Announce), (K::Cn, B::Publish)]
+            .map(|(kill, boundary)| ElasticCell { kill, boundary })
+            .to_vec()
+    }
+
+    fn trace_detail(o: &Outcome<Self>) -> String {
+        format!("{} ops under migration, ", o.stats.committed_ops)
     }
 }
 
-/// The commit ambiguity window of one interrupted op.
-type Window = (Option<Vec<u8>>, Option<Vec<u8>>);
-
-/// Shared traffic bookkeeping across the boundary windows.
+/// Traffic bookkeeping across the boundary windows (the oracle and the
+/// ambiguity windows live in the `Fixture`).
 #[derive(Default)]
 struct Live {
-    /// Exact predicted store state outside the ambiguity windows.
-    oracle: BTreeMap<Vec<u8>, Vec<u8>>,
-    /// Per-key windows of interrupted ops: pre-op vs intended post-op.
-    windows: BTreeMap<Vec<u8>, Window>,
     /// Client ids written off as crashed or blocked mid-op.
     crashed: Vec<u32>,
     /// Ops that committed while the migration was in flight.
@@ -222,126 +242,44 @@ fn traffic_key(j: usize) -> Vec<u8> {
     format!("ek-{j:02}").into_bytes()
 }
 
-/// What faults are armed for a traffic window.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Armed {
-    /// Quiet window: every op must succeed.
-    None,
-    /// A phase-gated MN kill may fire mid-op.
-    MnKill,
-    /// The client's crash point is armed.
-    CnCrash,
-}
-
-/// Runs one elastic cell.
-pub fn run_elastic_cell(cell: &ElasticCell, seed: u64) -> ElasticOutcome {
-    run_elastic_cell_with_sink(cell, seed, None)
-}
-
-/// [`run_elastic_cell`] with a [`TraceSink`] installed for the duration,
-/// so the race detector observes the client verbs interleaved with the
-/// migrator's fence/copy RPC stream.
-pub fn run_elastic_cell_with_sink(
-    cell: &ElasticCell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> ElasticOutcome {
-    let start = Instant::now();
-    let mut out = ElasticOutcome {
-        cell: *cell,
-        seed,
-        col: 0,
-        violations: Vec::new(),
-        kill_fired_at_verb: false,
-        aborted: false,
-        committed_ops: 0,
-        epochs: Vec::new(),
-        duration_ms: 0,
-    };
-    if let Err(e) = run_elastic_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
-    }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
 /// One traffic window: `OPS_PER_WINDOW` updates/searches against the
-/// preloaded keys. Returns `true` when the window's op was interrupted by
-/// an armed fault (the interrupted client is written off in `live`).
+/// preloaded keys, with the cell's fault armed (`Some`) or not (`None`,
+/// every op must succeed). Returns `true` when the window's op was
+/// interrupted by the armed fault (the interrupted client is written off
+/// in `live`).
 fn run_window(
     client: &mut AcesoClient,
-    rng: &mut StdRng,
+    fx: &mut Fixture,
     live: &mut Live,
     violations: &mut Vec<String>,
-    armed: Armed,
+    armed: Option<ElasticKill>,
 ) -> bool {
     for opno in 0..OPS_PER_WINDOW {
-        let key = traffic_key(rng.gen_range(0..KEYS));
-        let prev = live.oracle.get(&key).cloned();
-        let window = live.windows.get(&key).cloned();
+        let key = traffic_key(fx.rng.gen_range(0..KEYS));
         // Mutation-heavy mix: reads every third op exercise the
-        // mid-migration (possibly degraded/mirrored) read path.
-        let (res, intended): (Result<(), StoreError>, Option<Vec<u8>>) = if opno % 3 == 2 {
-            match client.search(&key) {
-                Ok(got) => {
-                    match &window {
-                        // An earlier interrupted op left this key
-                        // ambiguous; the read pins its collapsed state.
-                        Some((pre, post)) => {
-                            if got != *pre && got != *post {
-                                violations.push(format!(
-                                    "key {} outside ambiguity window: got {} allowed {} | {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(pre),
-                                    fmt_state(post)
-                                ));
-                            }
-                            live.windows.remove(&key);
-                            match &got {
-                                Some(v) => live.oracle.insert(key.clone(), v.clone()),
-                                None => live.oracle.remove(&key),
-                            };
-                        }
-                        None => {
-                            if got != prev {
-                                violations.push(format!(
-                                    "search({}) returned {} want {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(&prev)
-                                ));
-                            }
-                        }
-                    }
-                    (Ok(()), None)
+        // mid-migration (possibly degraded/mirrored) read path. A read of
+        // a key an earlier interrupted op left ambiguous pins its
+        // collapsed state.
+        let (res, intended) = if opno % 3 == 2 {
+            let res = client.search(&key).map(|got| {
+                if let Err(e) = fx.oracle.check_read(&key, got) {
+                    violations.push(format!("search({}) {e}", fmt_key(&key)));
                 }
-                Err(e) => (Err(e), None),
-            }
+            });
+            (res, None)
         } else {
-            let val = gen_value(rng, b'T');
+            let val = gen_value(&mut fx.rng, b'T');
             (client.update(&key, &val), Some(val))
         };
         match res {
             Ok(()) => {
-                if let Some(v) = intended {
-                    live.oracle.insert(key.clone(), v);
-                    live.windows.remove(&key);
+                if intended.is_some() {
+                    fx.oracle.commit(&key, intended);
                 }
                 live.committed += 1;
             }
-            Err(StoreError::Shutdown) if armed == Armed::CnCrash => {
-                live.windows.insert(key, (prev, intended));
-                live.crashed.push(client.id());
-                return true;
-            }
-            Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-            | Err(StoreError::RetriesExhausted)
-                if armed == Armed::MnKill =>
-            {
-                // The victim died under the op and nobody has recovered
-                // yet: written off as crashed-while-blocked.
-                live.windows.insert(key, (prev, intended));
+            Err(e) if armed.is_some_and(|k| written_off(&e, k != ElasticKill::Cn)) => {
+                fx.oracle.interrupt(&key, intended);
                 live.crashed.push(client.id());
                 return true;
             }
@@ -358,65 +296,35 @@ fn run_window(
 fn run_elastic_cell_inner(
     cell: &ElasticCell,
     seed: u64,
-    out: &mut ElasticOutcome,
+    out: &mut Outcome<ElasticAxis>,
     sink: Option<Arc<dyn TraceSink>>,
 ) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
+    // The preload's blocks are closed (= erasure-coded) so the copy
+    // batches and the parity re-encode have coded stripes to move.
+    let mut fx = Fixture::new(seed, sink, (0..KEYS).map(traffic_key))?;
+    let store = Arc::clone(&fx.store);
     let n = store.cfg.num_mns;
-
-    // ---- Preload ---------------------------------------------------------
     let mut live = Live::default();
-    {
-        let mut loader = store.client().map_err(|e| format!("loader: {e}"))?;
-        for j in 0..KEYS {
-            let k = traffic_key(j);
-            let v = gen_value(&mut rng, b'A');
-            loader
-                .insert(&k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-            live.oracle.insert(k, v);
-        }
-        // Close (= erasure-code) the open blocks so the copy batches and
-        // the parity re-encode have coded stripes to move.
-        loader
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
 
     // ---- Start the migration ---------------------------------------------
-    let col = rng.gen_range(0..n);
-    out.col = col;
+    let col = fx.rng.gen_range(0..n);
+    out.stats.col = col;
     let mut mig = match cell.kill {
         ElasticKill::DrainMn => store.begin_drain(col),
         _ => store.begin_join(col),
     }
     .map_err(|e| format!("begin migration: {e}"))?;
     let from = mig.from_node();
+    // The MN an MN-kill cell kills (the join target exists once announced).
+    let victim = |mig: &Migration| match cell.kill {
+        ElasticKill::JoinMn => mig.to_node().expect("announced"),
+        _ => from,
+    };
 
-    // Fail-fast tuning like the matrix: a blocked op costs milliseconds.
     // The client predates the announce, so it carries a pre-migration
     // placement snapshot into the first windows (the stale-client path).
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
     let mut client = store
-        .client_with(tuning)
+        .client_with(fail_fast())
         .map_err(|e| format!("client: {e}"))?;
 
     let mut plan: Option<Arc<FaultPlan>> = None;
@@ -445,17 +353,13 @@ fn run_elastic_cell_inner(
             ));
         }
         prev_epoch = epoch;
-        out.epochs.push(epoch);
+        out.stats.epochs.push(epoch);
 
         // The MN kill is armed right after the announce (the join target's
         // id exists from here on), phase-gated to the chosen boundary.
         if step == ElasticStep::Announce && cell.kill != ElasticKill::Cn {
-            let victim = match cell.kill {
-                ElasticKill::JoinMn => mig.to_node().expect("announced"),
-                _ => from,
-            };
             let p = FaultPlan::with_rules(vec![FaultRule::new(FaultAction::KillNode)
-                .on_node(victim)
+                .on_node(victim(&mig))
                 .in_phase(cell.boundary.phase())]);
             client.dm.install_fault_plan(Arc::clone(&p));
             plan = Some(p);
@@ -472,16 +376,12 @@ fn run_elastic_cell_inner(
             copy_seen = true;
         }
         let at_kill = !handled && window == cell.boundary && first_of_window;
-        let armed = match (at_kill, cell.kill) {
-            (false, _) => Armed::None,
-            (true, ElasticKill::Cn) => Armed::CnCrash,
-            (true, _) => Armed::MnKill,
-        };
-        if armed == Armed::CnCrash {
+        let armed = at_kill.then_some(cell.kill);
+        if armed == Some(ElasticKill::Cn) {
             client.crash_point = Some(CrashPoint::BeforeCommit);
         }
 
-        let interrupted = run_window(&mut client, &mut rng, &mut live, &mut out.violations, armed);
+        let interrupted = run_window(&mut client, &mut fx, &mut live, &mut out.violations, armed);
 
         if !at_kill {
             continue;
@@ -494,23 +394,17 @@ fn run_elastic_cell_inner(
                 } else {
                     // CN consistency recovery runs with the migration (and
                     // its dual-write mirror) still in flight.
-                    let cli_id = *live.crashed.last().expect("crashed recorded");
                     store.cluster.trace_barrier();
-                    let mut revived = store.client_with_id(cli_id);
-                    recover_cn(&store, &mut revived)
-                        .map_err(|e| format!("recover_cn: {e}"))?;
+                    fx.recover_cn(*live.crashed.last().expect("crashed recorded"))?;
                     store.cluster.trace_barrier();
                 }
                 client = store
-                    .client_with(tuning)
+                    .client_with(fail_fast())
                     .map_err(|e| format!("post-crash client: {e}"))?;
             }
             ElasticKill::JoinMn | ElasticKill::DrainMn => {
-                let victim = match cell.kill {
-                    ElasticKill::JoinMn => mig.to_node().expect("announced"),
-                    _ => from,
-                };
-                out.kill_fired_at_verb = plan
+                let victim = victim(&mig);
+                out.stats.kill_fired_at_verb = plan
                     .as_ref()
                     .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::KillNode));
                 // Post-publish the source holds nothing: a traffic verb
@@ -518,11 +412,11 @@ fn run_elastic_cell_inner(
                 // retired column.
                 let retired_source = cell.kill == ElasticKill::DrainMn
                     && matches!(cell.boundary, ElasticBoundary::Publish | ElasticBoundary::Free);
-                if retired_source && out.kill_fired_at_verb {
+                if retired_source && out.stats.kill_fired_at_verb {
                     out.violations
                         .push("client verb reached the retired source post-publish".into());
                 }
-                if !out.kill_fired_at_verb {
+                if !out.stats.kill_fired_at_verb {
                     // The client never addressed the victim in this window
                     // (stale snapshot, or a retired source): kill directly
                     // at the boundary. Killing through the directory keeps
@@ -549,14 +443,11 @@ fn run_elastic_cell_inner(
                 // mirror. Then CN consistency, then MN recovery.
                 if !mig.published() {
                     mig.abort();
-                    out.aborted = true;
+                    out.stats.aborted = true;
                 }
                 store.cluster.trace_barrier();
                 if interrupted {
-                    let cli_id = *live.crashed.last().expect("crashed recorded");
-                    let mut revived = store.client_with_id(cli_id);
-                    recover_cn(&store, &mut revived)
-                        .map_err(|e| format!("recover_cn: {e}"))?;
+                    fx.recover_cn(*live.crashed.last().expect("crashed recorded"))?;
                     store.cluster.trace_barrier();
                 }
                 let col_dead = store
@@ -568,7 +459,7 @@ fn run_elastic_cell_inner(
                     store.cluster.trace_barrier();
                 }
                 client = store
-                    .client_with(tuning)
+                    .client_with(fail_fast())
                     .map_err(|e| format!("post-kill client: {e}"))?;
             }
         }
@@ -577,92 +468,26 @@ fn run_elastic_cell_inner(
     // ---- Post-fault liveness ---------------------------------------------
     // One quiet window after the migration completed (or aborted): every
     // op must succeed against the settled membership.
-    run_window(&mut client, &mut rng, &mut live, &mut out.violations, Armed::None);
+    run_window(&mut client, &mut fx, &mut live, &mut out.violations, None);
     drop(client);
     store.cluster.trace_barrier();
 
-    out.committed_ops = live.committed;
+    out.stats.committed_ops = live.committed;
     if live.committed == 0 {
         out.violations
             .push("no client op committed during the migration".into());
     }
 
     // ---- Invariants ------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
+    // The judge's fresh client carries a snapshot that excludes retired
+    // nodes, so its oracle sweep doubles as the readability half of
+    // elastic invariant 2: a KV whose only copy sat on a retired column
+    // cannot read back. Every interrupted key is probed.
+    let probes: Vec<Vec<u8>> = fx.oracle.windows.keys().cloned().collect();
+    fx.judge(&probes, &[], &mut out.violations)?;
 
-    // 1. Oracle agreement through a *fresh* client (its snapshot excludes
-    //    retired nodes), with ambiguity windows on interrupted keys. This
-    //    doubles as the readability half of elastic invariant 2: a KV
-    //    whose only copy sat on a retired column cannot read back.
-    for (k, v) in &live.oracle {
-        match sweep.search(k) {
-            Ok(got) => {
-                let ok = match live.windows.get(k) {
-                    Some((pre, post)) => got == *pre || got == *post,
-                    None => got.as_ref() == Some(v),
-                };
-                if !ok {
-                    out.violations.push(format!(
-                        "oracle mismatch on {}: got {} want {}",
-                        fmt_key(k),
-                        fmt_state(&got),
-                        fmt_state(&Some(v.clone()))
-                    ));
-                }
-            }
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. Meta-lock liveness on every interrupted key: a probe write must
-    //    get through (breaking any lock a crashed client abandoned).
-    let probe_keys: Vec<Vec<u8>> = live.windows.keys().cloned().collect();
-    for k in &probe_keys {
-        let probe = gen_value(&mut rng, b'P');
-        match sweep.insert(k, &probe) {
-            Ok(()) => match sweep.search(k) {
-                Ok(Some(got)) if got == probe => {}
-                Ok(got) => out.violations.push(format!(
-                    "probe readback mismatch on {}: got {}",
-                    fmt_key(k),
-                    fmt_state(&got)
-                )),
-                Err(e) => out
-                    .violations
-                    .push(format!("probe readback {}: {e}", fmt_key(k))),
-            },
-            Err(e) => out.violations.push(format!(
-                "probe insert on {} blocked (stale meta lock?): {e}",
-                fmt_key(k)
-            )),
-        }
-    }
-
-    // 3. Index-Version monotonicity across the migration + kill +
-    //    recovery. Columns are stable across migrations (the directory
-    //    re-homes them), so the pre/post comparison is per-column.
-    for (c, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, c);
-        if post < *pre {
-            out.violations
-                .push(format!("index version regressed on col {c}: {pre} -> {post}"));
-        }
-    }
-
-    // 4. Parity-stripe consistency after the move (and any recovery).
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-
-    // 5. Placement-epoch monotonicity across the whole cell.
+    // Elastic invariant 1 (after): placement-epoch monotonicity across
+    // the whole cell.
     let final_epoch = store.placement().epoch();
     if final_epoch < prev_epoch {
         out.violations.push(format!(
@@ -670,10 +495,9 @@ fn run_elastic_cell_inner(
         ));
     }
 
-    // 6. No KV readable only via a retired column: every retired node is
-    //    dead, no directory entry serves one, and the migration closed.
-    //    (Invariant 1's fresh-client sweep proved the oracle survives
-    //    without them.)
+    // Elastic invariant 2: no KV readable only via a retired column —
+    // every retired node is dead, no directory entry serves one, and the
+    // migration closed.
     let snap = store.placement().snapshot();
     if snap.migration.is_some() {
         out.violations.push("migration left open on the placement map".into());
@@ -689,7 +513,7 @@ fn run_elastic_cell_inner(
             }
         }
     }
-    if out.aborted {
+    if out.stats.aborted {
         if snap.retired.contains(&from) {
             out.violations
                 .push("aborted migration retired its source".into());
@@ -698,82 +522,13 @@ fn run_elastic_cell_inner(
         out.violations
             .push("completed migration did not retire its source".into());
     }
-    let degraded = store.degraded_columns();
-    if !degraded.is_empty() {
-        out.violations
-            .push(format!("degraded windows left open: {degraded:?}"));
-    }
-
-    store.shutdown();
     Ok(())
-}
-
-/// Everything one `chaos elastic` run produced.
-#[derive(Clone, Debug)]
-pub struct ElasticReportCli {
-    /// The master seed (per-cell seeds derive from it).
-    pub seed: u64,
-    /// Per-cell outcomes, in matrix order.
-    pub outcomes: Vec<ElasticOutcome>,
-}
-
-impl ElasticReportCli {
-    /// `true` when every cell held every invariant.
-    pub fn clean(&self) -> bool {
-        self.outcomes.iter().all(ElasticOutcome::ok)
-    }
-
-    /// Renders the run summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let failed = self.outcomes.iter().filter(|o| !o.ok()).count();
-        let committed: usize = self.outcomes.iter().map(|o| o.committed_ops).sum();
-        let verb_kills = self.outcomes.iter().filter(|o| o.kill_fired_at_verb).count();
-        let aborts = self.outcomes.iter().filter(|o| o.aborted).count();
-        s.push_str(&format!(
-            "elastic report: seed {:#x}\n  {} cells, {} failed, {} committed ops under migration, {} mid-op verb kills, {} aborts\n",
-            self.seed,
-            self.outcomes.len(),
-            failed,
-            committed,
-            verb_kills,
-            aborts
-        ));
-        for o in self.outcomes.iter().filter(|o| !o.ok()) {
-            s.push_str(&format!("  cell {} (seed {:#x}, col {}):\n", o.cell, o.seed, o.col));
-            for v in &o.violations {
-                s.push_str(&format!("    - {v}\n"));
-            }
-        }
-        s.push_str(if self.clean() {
-            "  every kill-mid-rebalance cell held its invariants\n"
-        } else {
-            "  ELASTIC AXIS FOUND PROBLEMS (see above)\n"
-        });
-        s
-    }
-}
-
-/// Runs the full 15-cell matrix with per-cell seeds derived from `seed`.
-/// `progress` is called after each cell (CLI verbosity hook).
-pub fn run_elastic_matrix(seed: u64, mut progress: impl FnMut(&ElasticOutcome)) -> ElasticReportCli {
-    let cells = elastic_matrix();
-    let seeds = cell_seeds(seed, cells.len());
-    let outcomes = cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let out = run_elastic_cell(cell, cell_seed);
-            progress(&out);
-            out
-        })
-        .collect();
-    ElasticReportCli { seed, outcomes }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::assert_deterministic;
 
     /// The joining node dies right after the first copy batch: the
     /// migration aborts, nothing needs recovery, and all invariants hold.
@@ -783,10 +538,10 @@ mod tests {
             kill: ElasticKill::JoinMn,
             boundary: ElasticBoundary::Copy,
         };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
+        let out = ElasticAxis::run(&cell, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.aborted);
-        assert!(out.committed_ops > 0);
+        assert!(out.stats.aborted);
+        assert!(out.stats.committed_ops > 0);
     }
 
     /// The draining source dies at the announce boundary: abort + ordinary
@@ -797,9 +552,9 @@ mod tests {
             kill: ElasticKill::DrainMn,
             boundary: ElasticBoundary::Announce,
         };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
+        let out = ElasticAxis::run(&cell, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.aborted);
+        assert!(out.stats.aborted);
     }
 
     /// A client crash at the publish boundary: CN recovery runs against
@@ -810,9 +565,9 @@ mod tests {
             kill: ElasticKill::Cn,
             boundary: ElasticBoundary::Publish,
         };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
+        let out = ElasticAxis::run(&cell, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.aborted, "CN crashes never abort the migration");
+        assert!(!out.stats.aborted, "CN crashes never abort the migration");
     }
 
     /// Post-publish the drained source must receive no client verbs: the
@@ -825,10 +580,10 @@ mod tests {
                 kill: ElasticKill::DrainMn,
                 boundary,
             };
-            let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
+            let out = ElasticAxis::run(&cell, crate::DEFAULT_SEED, None);
             assert!(out.ok(), "{}: {:?}", cell, out.violations);
-            assert!(!out.kill_fired_at_verb, "{cell}: verb reached retired source");
-            assert!(!out.aborted);
+            assert!(!out.stats.kill_fired_at_verb, "{cell}: verb reached retired source");
+            assert!(!out.stats.aborted);
         }
     }
 
@@ -839,11 +594,6 @@ mod tests {
             kill: ElasticKill::JoinMn,
             boundary: ElasticBoundary::Reencode,
         };
-        let a = run_elastic_cell(&cell, 77);
-        let b = run_elastic_cell(&cell, 77);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.committed_ops, b.committed_ops);
-        assert_eq!(a.kill_fired_at_verb, b.kill_fired_at_verb);
+        assert_deterministic::<ElasticAxis>(cell, 77);
     }
 }

@@ -1,86 +1,87 @@
-//! Crash-matrix fault-injection harness for the Aceso reproduction.
+//! Fault-injection harness for the Aceso reproduction.
 //!
-//! The harness enumerates a matrix of crash scenarios — (operation ×
-//! injection site × MN-kill timing × reclamation state) — and runs each
-//! [`cell::Cell`] against a live [`aceso_core::AcesoStore`]: preload,
-//! arm the fault ([`aceso_rdma::FaultPlan`] for verb-level faults,
-//! [`aceso_core::client::CrashPoint`] for client-protocol crashes), run
-//! the operation, drive tiered recovery, then check the invariants the
-//! paper's fault-tolerance argument rests on (oracle agreement, meta-lock
-//! liveness, Index-Version monotonicity, parity-stripe consistency — see
-//! [`runner`]).
+//! Every fault axis is an [`Axis`]: a fixed vocabulary of cells plus one
+//! script that runs a cell against a live store. The generic code in
+//! [`axis`] does the rest once for all of them — per-cell seeds, the
+//! report, the traced run under the [`aceso_san`] race detector, and the
+//! CLI progress line. The Aceso axes share one setup and one
+//! post-recovery judge ([`fixture`]): launch the chaos store, preload,
+//! checkpoint, snapshot the Index Versions, run the cell's fault and
+//! tiered recovery, then check the invariants the paper's fault-tolerance
+//! argument rests on — acknowledged writes survive (oracle agreement
+//! with ambiguity windows), abandoned meta locks can be broken, Index
+//! Versions never go backwards, and parity stripes stay consistent with
+//! no degraded window left open.
 //!
-//! The `chaos` binary exposes these modes:
+//! The axes:
 //!
-//! * `chaos sweep [--ci]` — deterministic matrix sweep with a coverage
-//!   report and minimized counterexamples; `--ci` is the fixed-seed
-//!   sub-minute profile wired into tier-1 verification.
-//! * `chaos soak --seconds N` — seeded random schedules until a deadline.
-//! * `chaos rt` — the coroutine-runtime axis: kill a memory node (or
-//!   crash one client) while several resumable ops are suspended mid
-//!   round-trip on one [`aceso_rt::Executor`] thread (see [`rt_axis`]).
-//! * `chaos elastic [--ci]` — the kill-mid-rebalance axis: an elastic
-//!   migration re-homes a column under live traffic and the joining MN,
-//!   the draining MN, or a CN dies at every migrator step boundary (see
+//! * [`CrashMatrix`] (`chaos sweep [--ci]`, `soak`, `cell`) — (operation
+//!   × injection site × MN-kill timing × reclamation state), arming
+//!   [`aceso_rdma::FaultPlan`] verb faults and
+//!   [`aceso_core::client::CrashPoint`] client crashes (see [`cell`] and
+//!   [`runner`]). Only this axis keeps per-invariant-class timings and
+//!   greedy counterexample minimization ([`mod@sweep`]); `--ci` is the
+//!   fixed-seed profile wired into tier-1 verification.
+//! * [`RtAxis`] (`chaos rt`) — kill a memory node (or crash one client)
+//!   while several resumable ops are suspended mid round-trip on one
+//!   [`aceso_rt::Executor`] thread (see [`rt_axis`]).
+//! * [`ElasticAxis`] (`chaos elastic [--ci]`) — an elastic migration
+//!   re-homes a column under live traffic and the joining MN, the
+//!   draining MN, or a CN dies at every migrator step boundary (see
 //!   [`elastic_axis`]).
-//! * `chaos cache [--ci]` — the stale-index-cache axis: the index column
-//!   of a cached key (or the client itself) dies *between cache fill and
-//!   use*, recovery re-homes the data, and a hot-cache client that slept
-//!   through the kill must read nothing stale afterwards (see
-//!   [`cache_axis`]). `chaos sweep --ci` appends this matrix.
-//! * `chaos backends [--ci]` — the per-engine axis: the same
-//!   (op × fault × skip) crash script runs against every
-//!   [`aceso_core::FtEngine`] implementation — Aceso, FUSEE-style full
-//!   replication, and the SWARM-style 1-RTT engine — through the seam's
-//!   strategy-blind invariants (see [`backends_axis`]).
-//! * `chaos analyze [--ci]` — reruns the sweep schedules, a
-//!   multi-client YCSB-A interleaving, the runtime-axis cells, and
-//!   slices of the elastic, backends, and cache axes under the
-//!   [`aceso_san`] happens-before race detector, then runs the
-//!   detector's mutation self-tests and the static protocol lints (see
-//!   [`analyze`]).
-//! * `chaos explore [--ci]` — the bounded model-checking axis: the
+//! * [`CacheAxis`] (`chaos cache [--ci]`) — the index column of a cached
+//!   key (or the client itself) dies *between cache fill and use*, and a
+//!   hot-cache client that slept through the kill must read nothing stale
+//!   afterwards (see [`cache_axis`]). `chaos sweep --ci` appends it.
+//! * [`BackendsAxis`] (`chaos backends [--ci]`) — the same (op × fault ×
+//!   skip) crash script against every [`aceso_core::FtEngine`] — Aceso,
+//!   FUSEE-style full replication, and the SWARM-style 1-RTT engine —
+//!   judged by the seam's strategy-blind checks instead of the Aceso
+//!   judge (see [`backends_axis`]).
+//!
+//! Two modes sit beside the axes:
+//!
+//! * `chaos analyze [--ci]` — traces the crash matrix with the sweep's
+//!   per-cell seeds, a multi-client YCSB-A interleaving, and every other
+//!   axis's [`Axis::traced`] slice on the master seed verbatim under the
+//!   happens-before race detector, then runs the detector's mutation
+//!   self-tests and the static protocol lints (see [`analyze`]).
+//! * `chaos explore [--ci]` — bounded model checking: the
 //!   [`aceso_model`] explorer enumerates every interleaving of 2–3
 //!   coroutine clients to a depth bound, crashes every scheduling point,
 //!   and judges each terminal state with the matrix invariants plus a
-//!   linearizability oracle; mutation self-tests prove the checker alive
-//!   (see [`explore`]).
+//!   linearizability oracle (see [`explore`]).
 //!
 //! Every schedule derives from one `u64` seed; the same seed replays the
-//! identical schedule.
+//! identical schedule. Every report line on stdout is a pure function of
+//! the seed (wall-clock lines go to stderr), so tier-1 pins the five CI
+//! reports byte for byte in `results/chaos_ci.txt`.
 
 pub mod analyze;
+pub mod axis;
 pub mod backends_axis;
 pub mod cache_axis;
 pub mod cell;
 pub mod elastic_axis;
 pub mod explore;
+pub mod fixture;
 pub mod rt_axis;
 pub mod runner;
 pub mod sweep;
 
-pub use analyze::{
-    AnalyzeReport, BackendsTrace, CacheTrace, CellTrace, ElasticTrace, RtTrace, YcsbTrace,
-};
-pub use backends_axis::{
-    backends_matrix, run_backends_cell, run_backends_cell_with_sink, run_backends_matrix,
-    BackendCell, BackendFault, BackendOp, BackendOutcome, BackendsReportCli,
-};
-pub use cache_axis::{
-    cache_matrix, run_cache_cell, run_cache_cell_with_sink, run_cache_matrix, CacheCell,
-    CacheKill, CacheOp, CacheOutcome, CacheReportCli,
-};
-pub use explore::{run_explore, wgl_selftests, ExploreCliReport};
-pub use elastic_axis::{
-    elastic_matrix, run_elastic_cell, run_elastic_cell_with_sink, run_elastic_matrix,
-    ElasticBoundary, ElasticCell, ElasticKill, ElasticOutcome, ElasticReportCli,
-};
-pub use rt_axis::{run_rt_cell, run_rt_cell_with_sink, RtKill, RtOutcome, RT_TASKS};
+pub use analyze::{AnalyzeReport, YcsbTrace};
+pub use axis::{run_matrix, trace, Axis, Outcome, Report, Traced};
+pub use backends_axis::{BackendCell, BackendFault, BackendOp, BackendsAxis};
+pub use cache_axis::{CacheAxis, CacheCell, CacheKill, CacheOp};
 pub use cell::{
     ci_matrix, full_matrix, injection_sites, kill_timings, Cell, InjectionSite, KillTiming,
     OpType, ReclaimState,
 };
-pub use runner::{chaos_config, run_cell, run_cell_with_sink, CellOutcome};
+pub use elastic_axis::{ElasticAxis, ElasticBoundary, ElasticCell, ElasticKill};
+pub use explore::{run_explore, wgl_selftests, ExploreCliReport};
+pub use fixture::chaos_config;
+pub use rt_axis::{RtAxis, RtKill, RT_TASKS};
+pub use runner::{CellOutcome, CrashMatrix};
 pub use sweep::{soak, sweep, Counterexample, SweepReport};
 
 /// Default master seed (sweep and soak) so bare CLI invocations are

@@ -18,9 +18,8 @@
 //! on any violation, 2 on usage errors.
 
 use aceso_chaos::{
-    analyze, ci_matrix, full_matrix, run_backends_matrix, run_cache_matrix, run_cell,
-    run_elastic_matrix, run_explore, run_rt_cell, soak, sweep, Cell, CellOutcome, CellTrace,
-    RtKill, SweepReport, CI_CELLS, DEFAULT_SEED,
+    analyze, ci_matrix, run_explore, run_matrix, soak, sweep, Axis, BackendsAxis, CacheAxis, Cell,
+    CrashMatrix, ElasticAxis, Outcome, Report, RtAxis, SweepReport, CI_CELLS, DEFAULT_SEED,
 };
 use std::time::Duration;
 
@@ -84,37 +83,63 @@ fn parse_u64(args: &mut std::slice::Iter<'_, String>, flag: &str) -> u64 {
     })
 }
 
-fn progress(verbose: bool) -> impl FnMut(&CellOutcome) {
+/// The CLI progress hook: one line per cell when `verbose`, and one line
+/// plus its violations for every violating cell.
+fn progress<A: Axis>(verbose: bool) -> impl FnMut(&Outcome<A>) {
     let mut ran = 0usize;
-    move |o: &CellOutcome| {
-        ran += 1;
-        if verbose {
-            let status = if o.ok() { "ok" } else { "VIOLATION" };
-            println!(
-                "[{ran:>4}] {status:<9} {} ({} ms, fired={}, killed={})",
-                o.cell, o.duration_ms, o.injection_fired, o.mn_killed
-            );
-        } else if !o.ok() {
-            println!("[{ran:>4}] VIOLATION {}", o.cell);
-        }
-    }
-}
-
-fn cache_progress(verbose: bool) -> impl FnMut(&aceso_chaos::CacheOutcome) {
-    let mut ran = 0usize;
-    move |o: &aceso_chaos::CacheOutcome| {
+    move |o: &Outcome<A>| {
         ran += 1;
         if verbose || !o.ok() {
             let status = if o.ok() { "ok" } else { "VIOLATION" };
             println!(
-                "[{ran:>4}] {status:<9} {} (col {}, {} ms, {} warm entries, interrupted={})",
-                o.cell, o.col, o.duration_ms, o.warm_entries, o.interrupted
+                "[{ran:>4}] {status:<9} {} ({} ms, {})",
+                o.cell,
+                o.duration_ms,
+                A::detail(o)
             );
             for v in &o.violations {
                 println!("    {v}");
             }
         }
     }
+}
+
+/// The crash-matrix cells of `sweep` and `analyze`: `--limit` sizes the
+/// CI profile's shuffle and truncates either profile.
+fn matrix_cells(seed: u64, ci: bool, limit: Option<usize>) -> Vec<Cell> {
+    let mut cells = match (ci, limit) {
+        (true, Some(l)) => ci_matrix(seed, l),
+        _ => CrashMatrix::cells(seed, ci),
+    };
+    cells.truncate(limit.unwrap_or(cells.len()));
+    cells
+}
+
+fn banner<A: Axis>(cells: usize, seed: u64) {
+    println!("chaos {}: {cells} {}, seed {seed:#x}", A::NAME, A::CELLS);
+}
+
+/// Prints a report's deterministic body on stdout; returns whether it was
+/// clean.
+fn print_report<A: Axis>(report: &Report<A>) -> bool {
+    print!("{}", report.render());
+    report.clean()
+}
+
+/// [`print_report`] for the crash matrix, whose wall-clock lines go to
+/// stderr so stdout stays byte-stable.
+fn print_sweep(report: &SweepReport) -> bool {
+    eprint!("{}", report.render_wall_clock());
+    print_report(report)
+}
+
+/// Runs axis `A`'s whole matrix (`chaos <A::NAME>`).
+fn run_axis<A: Axis>(seed: u64, ci: bool, verbose: bool, with_banner: bool) -> bool {
+    let cells = A::cells(seed, ci);
+    if with_banner {
+        banner::<A>(cells.len(), seed);
+    }
+    print_report(&run_matrix::<A>(&cells, seed, progress(verbose)))
 }
 
 fn main() {
@@ -146,122 +171,60 @@ fn main() {
         }
     }
 
-    let report = match mode {
+    let clean = match mode {
         "sweep" => {
-            let mut cells = if ci {
-                ci_matrix(seed, limit.unwrap_or(CI_CELLS))
-            } else {
-                full_matrix()
-            };
-            if let Some(l) = limit {
-                cells.truncate(l);
-            }
-            println!("chaos sweep: {} cells, seed {seed:#x}", cells.len());
-            let report = sweep(&cells, seed, progress(verbose));
-            if !ci {
-                report
-            } else {
-                // The CI profile appends the stale-index-cache axis: its
-                // five fill-kill-recover-use cells ride the same tier-1
-                // invocation as the crash matrix.
-                eprint!("{}", report.render_wall_clock());
-                print!("{}", report.render());
-                let cache = run_cache_matrix(seed, cache_progress(verbose));
-                print!("{}", cache.render());
-                std::process::exit(if report.clean() && cache.clean() { 0 } else { 1 });
-            }
+            let cells = matrix_cells(seed, ci, limit);
+            banner::<CrashMatrix>(cells.len(), seed);
+            let clean = print_sweep(&sweep(&cells, seed, progress(verbose)));
+            // The CI profile appends the stale-index-cache axis: its five
+            // fill-kill-recover-use cells ride the same tier-1 invocation
+            // as the crash matrix.
+            let cache_clean = !ci || run_axis::<CacheAxis>(seed, ci, verbose, false);
+            clean && cache_clean
         }
         "soak" => {
             println!("chaos soak: {seconds}s, seed {seed:#x}");
-            soak(seed, Duration::from_secs(seconds), progress(verbose))
+            print_sweep(&soak(seed, Duration::from_secs(seconds), progress(verbose)))
         }
-        "analyze" => {
-            let mut cells = if ci {
-                ci_matrix(seed, limit.unwrap_or(CI_CELLS))
-            } else {
-                full_matrix()
+        "cell" => {
+            let Some(cell) = cell_id.as_deref().and_then(Cell::parse) else {
+                eprintln!("chaos: cell needs a valid op/site/kill/reclaim id");
+                usage();
             };
-            if let Some(l) = limit {
-                cells.truncate(l);
-            }
+            // The seed is used verbatim (not drawn from a master stream) so
+            // a counterexample's printed cell seed replays exactly.
+            println!("chaos cell: {cell}, seed {seed:#x}");
+            let out = CrashMatrix::run(&cell, seed, None);
+            progress(true)(&out);
+            print_sweep(&SweepReport {
+                seed,
+                outcomes: vec![out],
+            })
+        }
+        "rt" => run_axis::<RtAxis>(seed, ci, verbose, true),
+        "elastic" => run_axis::<ElasticAxis>(seed, ci, verbose, true),
+        "cache" => run_axis::<CacheAxis>(seed, ci, verbose, true),
+        "backends" => run_axis::<BackendsAxis>(seed, ci, verbose, true),
+        "analyze" => {
+            let cells = matrix_cells(seed, ci, limit);
             println!(
                 "chaos analyze: {} cells + 4-client YCSB-A, seed {seed:#x}",
                 cells.len()
             );
             let mut ran = 0usize;
-            let report = analyze::analyze(&cells, seed, |t: &CellTrace| {
+            let report = analyze::analyze(&cells, seed, |t| {
                 ran += 1;
-                if verbose {
+                if verbose || !t.ok() {
                     let status = if t.ok() { "ok" } else { "FINDING" };
-                    println!("[{ran:>4}] {status:<9} {} ({} events)", t.cell, t.events);
-                } else if !t.ok() {
-                    println!("[{ran:>4}] FINDING {}", t.cell);
+                    println!("[{ran:>4}] {status:<9} {} ({} events)", t.out.cell, t.events);
                 }
             });
             print!("{}", report.render());
-            std::process::exit(if report.clean() { 0 } else { 1 });
-        }
-        "elastic" => {
-            // The elastic axis is already a fixed 15-cell deterministic
-            // matrix; --ci selects the identical profile (accepted so the
-            // tier-1 command line reads uniformly across modes).
-            let _ = ci;
-            println!("chaos elastic: 15 kill-mid-rebalance cells, seed {seed:#x}");
-            let mut ran = 0usize;
-            let report = run_elastic_matrix(seed, |o| {
-                ran += 1;
-                if verbose || !o.ok() {
-                    let status = if o.ok() { "ok" } else { "VIOLATION" };
-                    println!(
-                        "[{ran:>4}] {status:<9} {} (col {}, {} ms, {} ops committed, verb-kill={}, aborted={})",
-                        o.cell, o.col, o.duration_ms, o.committed_ops, o.kill_fired_at_verb, o.aborted
-                    );
-                    for v in &o.violations {
-                        println!("    {v}");
-                    }
-                }
-            });
-            print!("{}", report.render());
-            std::process::exit(if report.clean() { 0 } else { 1 });
-        }
-        "cache" => {
-            // The cache axis is a fixed 5-cell deterministic matrix; --ci
-            // selects the identical profile (accepted so the tier-1
-            // command line reads uniformly across modes).
-            let _ = ci;
-            println!("chaos cache: 5 stale-cache cells, seed {seed:#x}");
-            let report = run_cache_matrix(seed, cache_progress(verbose));
-            print!("{}", report.render());
-            std::process::exit(if report.clean() { 0 } else { 1 });
-        }
-        "backends" => {
-            // The backends axis is a fixed 54-cell deterministic matrix;
-            // --ci selects the identical profile (accepted so the tier-1
-            // command line reads uniformly across modes).
-            let _ = ci;
-            println!("chaos backends: 54 per-engine crash cells, seed {seed:#x}");
-            let mut ran = 0usize;
-            let report = run_backends_matrix(seed, |o| {
-                ran += 1;
-                if verbose || !o.ok() {
-                    let status = if o.ok() { "ok" } else { "VIOLATION" };
-                    println!(
-                        "[{ran:>4}] {status:<9} {} ({} ms, fired={}, written-off={}, recovered-cols={})",
-                        o.cell, o.duration_ms, o.fired_at_verb, o.written_off, o.recovered_cols
-                    );
-                    for v in &o.violations {
-                        println!("    {v}");
-                    }
-                }
-            });
-            print!("{}", report.render());
-            std::process::exit(if report.clean() { 0 } else { 1 });
+            report.clean()
         }
         "explore" => {
-            // The model scenarios are a fixed deterministic set; --ci
-            // selects the identical profile (accepted so the tier-1
-            // command line reads uniformly across modes).
-            let _ = ci;
+            // The model scenarios are a fixed deterministic set: `--ci`
+            // selects the identical profile.
             println!("chaos explore: bounded model checking, seed {seed:#x}");
             let mut ran = 0usize;
             let report = run_explore(seed, |r| {
@@ -274,48 +237,9 @@ fn main() {
                 }
             });
             print!("{}", report.render());
-            std::process::exit(if report.clean() { 0 } else { 1 });
-        }
-        "rt" => {
-            println!("chaos rt: {} tasks on one executor thread, seed {seed:#x}", aceso_chaos::RT_TASKS);
-            let mut failed = false;
-            for kill in [RtKill::Mn, RtKill::Cn] {
-                let out = run_rt_cell(kill, seed);
-                let status = if out.ok() { "ok" } else { "VIOLATION" };
-                println!(
-                    "{status:<9} {} ({} ms, {} in flight at fault, {} tasks crashed)",
-                    kill.label(),
-                    out.duration_ms,
-                    out.inflight_at_fault,
-                    out.crashed_tasks
-                );
-                for v in &out.violations {
-                    println!("    {v}");
-                }
-                failed |= !out.ok();
-            }
-            std::process::exit(if failed { 1 } else { 0 });
-        }
-        "cell" => {
-            let Some(cell) = cell_id.as_deref().and_then(Cell::parse) else {
-                eprintln!("chaos: cell needs a valid op/site/kill/reclaim id");
-                usage();
-            };
-            // The seed is used verbatim (not drawn from a master stream) so
-            // a counterexample's printed cell seed replays exactly.
-            println!("chaos cell: {cell}, seed {seed:#x}");
-            let out = run_cell(&cell, seed);
-            progress(true)(&out);
-            SweepReport {
-                seed,
-                outcomes: vec![out],
-                counterexamples: Vec::new(),
-            }
+            report.clean()
         }
         _ => usage(),
     };
-
-    eprint!("{}", report.render_wall_clock());
-    print!("{}", report.render());
-    std::process::exit(if report.clean() { 0 } else { 1 });
+    std::process::exit(if clean { 0 } else { 1 });
 }

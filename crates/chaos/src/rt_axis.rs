@@ -21,22 +21,22 @@
 //! Every task owns a disjoint key range, so the shared oracle stays
 //! exact under interleaving; tasks interrupted mid-op contribute a
 //! per-key commit ambiguity window instead. Post-conditions are the
-//! matrix invariants (oracle agreement, meta-lock liveness on every
-//! interrupted key, Index-Version monotonicity, parity scrub) — see
-//! [`crate::runner`].
+//! shared judge's (oracle agreement, meta-lock liveness on every
+//! interrupted key, Index-Version monotonicity, parity scrub, no
+//! degraded window left open) — see [`crate::fixture`].
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
+use crate::axis::{Axis, Outcome};
+use crate::fixture::{fail_fast, fmt_key, gen_value, written_off, Fixture, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoStore, ClientTuning, StoreError};
-use aceso_rdma::{RdmaError, SimCq, TraceSink};
+use aceso_core::{recover_mn, StoreError};
+use aceso_rdma::{SimCq, TraceSink};
 use aceso_rt::Executor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Coroutine tasks multiplexed on the one executor thread.
 pub const RT_TASKS: usize = 6;
@@ -57,53 +57,85 @@ pub enum RtKill {
     Cn,
 }
 
-impl RtKill {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
+impl fmt::Display for RtKill {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             RtKill::Mn => "kill-mn",
             RtKill::Cn => "crash-cn",
-        }
+        })
     }
 }
 
-/// What one runtime-axis run observed.
-#[derive(Clone, Debug)]
-pub struct RtOutcome {
-    /// The kill that was armed.
-    pub kill: RtKill,
-    /// The seed the schedule was derived from.
-    pub seed: u64,
-    /// Tasks spawned on the executor.
-    pub tasks: usize,
+/// The coroutine-runtime axis. Both cells run on the master seed
+/// verbatim, in `chaos rt` as in `chaos analyze`.
+#[derive(Clone, Copy, Debug)]
+pub struct RtAxis;
+
+/// What one runtime-axis run observed beyond its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RtStats {
     /// Tasks still mid-op when the fault fired (must be > 1).
     pub inflight_at_fault: usize,
     /// Tasks written off as crashed or blocked.
     pub crashed_tasks: usize,
-    /// Invariant violations (empty = the run passed).
-    pub violations: Vec<String>,
-    /// Wall-clock cost of the run.
-    pub duration_ms: u128,
 }
 
-impl RtOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+impl Axis for RtAxis {
+    const NAME: &'static str = "rt";
+    const CELLS: &'static str = "coroutine-runtime cells";
+    const CLEAN: &'static str = "every runtime cell held its invariants";
+    const VERBATIM_SEED: bool = true;
+    type Cell = RtKill;
+    type Stats = RtStats;
+
+    fn cells(_seed: u64, _ci: bool) -> Vec<RtKill> {
+        vec![RtKill::Mn, RtKill::Cn]
+    }
+
+    fn exec(
+        kill: &RtKill,
+        seed: u64,
+        sink: Option<Arc<dyn TraceSink>>,
+        out: &mut Outcome<Self>,
+    ) -> Result<(), String> {
+        run_rt_cell_inner(*kill, seed, out, sink)
+    }
+
+    fn summary(outcomes: &[Outcome<Self>]) -> String {
+        let crashed: usize = outcomes.iter().map(|o| o.stats.crashed_tasks).sum();
+        format!("{crashed} tasks crashed")
+    }
+
+    fn detail(o: &Outcome<Self>) -> String {
+        format!(
+            "{} in flight at fault, {} tasks crashed",
+            o.stats.inflight_at_fault, o.stats.crashed_tasks
+        )
+    }
+
+    /// Both kills: the detector must order every cross-client handoff
+    /// even though the clients interleave at round-trip granularity on
+    /// one thread — the per-client trace ids have to survive it.
+    fn traced() -> Vec<RtKill> {
+        vec![RtKill::Mn, RtKill::Cn]
+    }
+
+    fn trace_detail(o: &Outcome<Self>) -> String {
+        format!(
+            "{RT_TASKS} tasks (one thread), {} in flight at fault, ",
+            o.stats.inflight_at_fault
+        )
     }
 }
-
-/// The commit ambiguity window of one interrupted op: the key may read
-/// back as either its pre-op or its intended post-op state.
-type Window = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// State the tasks share through the single-threaded executor.
 #[derive(Default)]
 struct SharedState {
-    /// Exact predicted store state (tasks own disjoint keys).
-    oracle: BTreeMap<Vec<u8>, Vec<u8>>,
-    /// Per-key commit ambiguity windows: (key, pre-op, intended post-op).
-    ambiguous: Vec<Window>,
+    /// Acknowledged writes and ambiguity windows (tasks own disjoint
+    /// keys, so the oracle stays exact under interleaving).
+    oracle: Oracle,
+    /// Keys of interrupted ops, in the order their tasks were written off.
+    interrupted: Vec<Vec<u8>>,
     /// Client ids of tasks written off as crashed/blocked.
     crashed: Vec<u32>,
     /// Violations observed while the tasks ran.
@@ -114,36 +146,6 @@ struct SharedState {
     inflight_at_fault: Option<usize>,
 }
 
-/// Runs one runtime-axis cell.
-pub fn run_rt_cell(kill: RtKill, seed: u64) -> RtOutcome {
-    run_rt_cell_with_sink(kill, seed, None)
-}
-
-/// [`run_rt_cell`] with a [`TraceSink`] installed for the duration, so
-/// the race detector observes the interleaved per-client verb streams
-/// (each task has its own DM client and trace id).
-pub fn run_rt_cell_with_sink(
-    kill: RtKill,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> RtOutcome {
-    let start = Instant::now();
-    let mut out = RtOutcome {
-        kill,
-        seed,
-        tasks: RT_TASKS,
-        inflight_at_fault: 0,
-        crashed_tasks: 0,
-        violations: Vec::new(),
-        duration_ms: 0,
-    };
-    if let Err(e) = run_rt_cell_inner(kill, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
-    }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
 fn task_key(task: usize, j: usize) -> Vec<u8> {
     format!("rt-{task}-{j:02}").into_bytes()
 }
@@ -151,66 +153,29 @@ fn task_key(task: usize, j: usize) -> Vec<u8> {
 fn run_rt_cell_inner(
     kill: RtKill,
     seed: u64,
-    out: &mut RtOutcome,
+    out: &mut Outcome<RtAxis>,
     sink: Option<Arc<dyn TraceSink>>,
 ) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
+    let keys = (0..RT_TASKS).flat_map(|t| (0..KEYS_PER_TASK).map(move |j| task_key(t, j)));
+    let mut fx = Fixture::new(seed, sink, keys)?;
+    let store = Arc::clone(&fx.store);
     let n = store.cfg.num_mns;
-
-    // ---- Preload ---------------------------------------------------------
-    let shared = Rc::new(RefCell::new(SharedState::default()));
-    {
-        let mut loader = store.client().map_err(|e| format!("loader: {e}"))?;
-        let mut st = shared.borrow_mut();
-        for t in 0..RT_TASKS {
-            for j in 0..KEYS_PER_TASK {
-                let k = task_key(t, j);
-                let v = gen_value(&mut rng, b'A');
-                loader
-                    .insert(&k, &v)
-                    .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-                st.oracle.insert(k, v);
-            }
-        }
-        loader
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-
-    // Two checkpoint rounds so every column has a restorable checkpoint
-    // and a non-trivial Index Version to regress from.
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
+    let shared = Rc::new(RefCell::new(SharedState {
+        oracle: std::mem::take(&mut fx.oracle),
+        ..SharedState::default()
+    }));
 
     // ---- Spawn the coroutine clients -------------------------------------
-    // Same fail-fast tuning as the matrix runner: a blocked op costs the
-    // run milliseconds, not the production grace window — and the sleeps
-    // run inline on the executor thread, so they must stay short.
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
-    let kill_col = rng.gen_range(0..n);
+    // Fail-fast tuning matters twice here: the index-wait sleeps run
+    // inline on the executor thread, so they must stay short.
+    let kill_col = fx.rng.gen_range(0..n);
     let mn_kill_planned = kill == RtKill::Mn;
 
     let cq = Arc::new(SimCq::new());
     let mut exec = Executor::new();
     for t in 0..RT_TASKS {
         let mut client = store
-            .client_with(tuning)
+            .client_with(fail_fast())
             .map_err(|e| format!("client {t}: {e}"))?;
         client.dm.attach_cq(Arc::clone(&cq));
         if kill == RtKill::Cn && t == 0 {
@@ -223,53 +188,40 @@ fn run_rt_cell_inner(
             for opno in 0..OPS_PER_TASK {
                 let j = task_rng.gen_range(0..KEYS_PER_TASK);
                 let key = task_key(t, j);
-                let prev = shared.borrow().oracle.get(&key).cloned();
                 // Even ops mutate (so the CN crash point fires early),
                 // odd ops read back through the full search path.
                 let (res, intended) = if opno % 2 == 0 {
                     let val = gen_value(&mut task_rng, b'0' + t as u8);
                     (client.update_async(&key, &val).await, Some(val))
                 } else {
-                    match client.search_async(&key).await {
-                        Ok(got) => {
-                            if got != prev {
-                                shared.borrow_mut().violations.push(format!(
-                                    "task {t}: search({}) returned {} want {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(&prev)
-                                ));
-                            }
-                            (Ok(()), prev.clone())
+                    let prev = shared.borrow().oracle.get(&key);
+                    let res = client.search_async(&key).await.map(|got| {
+                        let checked = shared.borrow_mut().oracle.check_read(&key, got);
+                        if let Err(e) = checked {
+                            let msg = format!("task {t}: search({}) {e}", fmt_key(&key));
+                            shared.borrow_mut().violations.push(msg);
                         }
-                        Err(e) => (Err(e), prev.clone()),
-                    }
+                    });
+                    (res, prev)
                 };
                 match res {
                     Ok(()) => {
-                        if let Some(v) = &intended {
-                            shared.borrow_mut().oracle.insert(key, v.clone());
+                        if intended.is_some() {
+                            shared.borrow_mut().oracle.commit(&key, intended);
                         }
                     }
-                    Err(StoreError::Shutdown) => {
-                        // The armed crash point fired mid-commit.
+                    // The armed crash point fired mid-commit, or the MN
+                    // died under the op and nobody recovers it until the
+                    // executor drains: written off as crashed-while-blocked.
+                    Err(e) if written_off(&e, mn_kill_planned) => {
                         let mut st = shared.borrow_mut();
-                        st.ambiguous.push((key, prev, intended));
+                        st.oracle.interrupt(&key, intended);
+                        st.interrupted.push(key);
                         st.crashed.push(cli_id);
-                        let inflight = RT_TASKS - st.finished;
-                        st.inflight_at_fault.get_or_insert(inflight);
-                        break;
-                    }
-                    Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-                    | Err(StoreError::RetriesExhausted)
-                        if mn_kill_planned =>
-                    {
-                        // The MN died under the op and nobody recovers it
-                        // until the executor drains: written off as
-                        // crashed-while-blocked, like the matrix runner.
-                        let mut st = shared.borrow_mut();
-                        st.ambiguous.push((key, prev, intended));
-                        st.crashed.push(cli_id);
+                        if matches!(e, StoreError::Shutdown) {
+                            let inflight = RT_TASKS - st.finished;
+                            st.inflight_at_fault.get_or_insert(inflight);
+                        }
                         break;
                     }
                     Err(e) => {
@@ -320,21 +272,18 @@ fn run_rt_cell_inner(
     }
     store.cluster.trace_barrier();
 
-    let (oracle, ambiguous, crashed) = {
+    let (interrupted, crashed) = {
         let mut st = shared.borrow_mut();
-        out.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
+        out.stats.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
         out.violations.append(&mut st.violations);
-        (
-            std::mem::take(&mut st.oracle),
-            std::mem::take(&mut st.ambiguous),
-            std::mem::take(&mut st.crashed),
-        )
+        fx.oracle = std::mem::take(&mut st.oracle);
+        (std::mem::take(&mut st.interrupted), std::mem::take(&mut st.crashed))
     };
-    out.crashed_tasks = crashed.len();
-    if out.inflight_at_fault < 2 {
+    out.stats.crashed_tasks = crashed.len();
+    if out.stats.inflight_at_fault < 2 {
         out.violations.push(format!(
             "fault fired with {} tasks in flight (need > 1 suspended mid-op)",
-            out.inflight_at_fault
+            out.stats.inflight_at_fault
         ));
     }
     if kill == RtKill::Cn && crashed.is_empty() {
@@ -344,8 +293,7 @@ fn run_rt_cell_inner(
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
     for cli_id in &crashed {
-        let mut revived = store.client_with_id(*cli_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn({cli_id}): {e}"))?;
+        fx.recover_cn(*cli_id)?;
         // Each CN repair is its own membership-service epoch: the service
         // fences one crashed client's rollback before admitting the next,
         // so consecutive repairs (which share parity stripes) are
@@ -358,114 +306,39 @@ fn run_rt_cell_inner(
     store.cluster.trace_barrier();
 
     // ---- Invariants ------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
-    let mut windows: BTreeMap<&[u8], [&Option<Vec<u8>>; 2]> = BTreeMap::new();
-    for (k, pre, post) in &ambiguous {
-        windows.insert(k.as_slice(), [pre, post]);
-    }
-
-    // 1. Oracle agreement, with per-task ambiguity windows on every key
-    //    whose op was interrupted.
-    for (k, v) in &oracle {
-        match sweep.search(k) {
-            Ok(got) => {
-                let allowed: Vec<Option<Vec<u8>>> = match windows.get(k.as_slice()) {
-                    Some([pre, post]) => vec![(*pre).clone(), (*post).clone()],
-                    None => vec![Some(v.clone())],
-                };
-                if !allowed.contains(&got) {
-                    out.violations.push(format!(
-                        "key {} outside ambiguity window: got {} allowed {}",
-                        fmt_key(k),
-                        fmt_state(&got),
-                        allowed.iter().map(fmt_state).collect::<Vec<_>>().join(" | ")
-                    ));
-                }
-            }
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. Meta-lock liveness on every interrupted key: a probe write must
-    //    get through (breaking any lock a crashed task abandoned).
-    for (k, _, _) in &ambiguous {
-        let probe = gen_value(&mut rng, b'P');
-        match sweep.insert(k, &probe) {
-            Ok(()) => match sweep.search(k) {
-                Ok(Some(got)) if got == probe => {}
-                Ok(got) => out.violations.push(format!(
-                    "probe readback mismatch on {}: got {}",
-                    fmt_key(k),
-                    fmt_state(&got)
-                )),
-                Err(e) => out
-                    .violations
-                    .push(format!("probe readback {}: {e}", fmt_key(k))),
-            },
-            Err(e) => out.violations.push(format!(
-                "probe insert on {} blocked (stale meta lock?): {e}",
-                fmt_key(k)
-            )),
-        }
-    }
-
-    // 3. Index-Version monotonicity across kill + recovery.
-    for (col, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, col);
-        if post < *pre {
-            out.violations.push(format!(
-                "index version regressed on col {col}: {pre} -> {post}"
-            ));
-        }
-    }
-
-    // 4. Parity-stripe consistency after full recovery.
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-
-    store.shutdown();
+    // Every interrupted key has its per-task ambiguity window and is
+    // probed, in the order the tasks were written off.
+    fx.judge(&interrupted, &[], &mut out.violations)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::assert_deterministic;
 
     /// The MN dies between polls with several tasks suspended mid-op;
     /// every invariant holds after tiered recovery.
     #[test]
     fn mn_kill_under_runtime_passes() {
-        let out = run_rt_cell(RtKill::Mn, crate::DEFAULT_SEED);
+        let out = RtAxis::run(&RtKill::Mn, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.inflight_at_fault >= 2, "{:?}", out.inflight_at_fault);
+        assert!(out.stats.inflight_at_fault >= 2, "{:?}", out.stats);
     }
 
     /// One task's client crashes at a protocol crash point while its
     /// siblings keep running on the same executor thread.
     #[test]
     fn cn_crash_under_runtime_passes() {
-        let out = run_rt_cell(RtKill::Cn, crate::DEFAULT_SEED);
+        let out = RtAxis::run(&RtKill::Cn, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert_eq!(out.crashed_tasks, 1);
-        assert!(out.inflight_at_fault >= 2, "{:?}", out.inflight_at_fault);
+        assert_eq!(out.stats.crashed_tasks, 1);
+        assert!(out.stats.inflight_at_fault >= 2, "{:?}", out.stats);
     }
 
     /// Same seed, same schedule, same outcome.
     #[test]
     fn rt_cell_is_deterministic() {
-        let a = run_rt_cell(RtKill::Mn, 77);
-        let b = run_rt_cell(RtKill::Mn, 77);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.inflight_at_fault, b.inflight_at_fault);
-        assert_eq!(a.crashed_tasks, b.crashed_tasks);
+        assert_deterministic::<RtAxis>(RtKill::Mn, 77);
     }
 }

@@ -1,60 +1,35 @@
-//! Executes one crash-matrix cell against a live store and checks the
-//! post-conditions.
+//! The crash-matrix axis: executes one [`Cell`] against a live store.
 //!
-//! Each cell runs the same script: launch a store, preload it (optionally
-//! ageing it into a reclamation-relevant state), arm the cell's injection
-//! and kill, run the operation, drive tiered recovery, then check four
-//! invariants:
-//!
-//! 1. **Oracle agreement** — every surviving key reads back exactly the
-//!    value a `HashMap` oracle predicts; the injected key may be in either
-//!    its pre-op or intended post-op state (the commit protocol's allowed
-//!    ambiguity window), never anything else.
-//! 2. **Meta-lock liveness** — a probe INSERT on the injected key must
-//!    succeed (breaking any lock the crashed client abandoned) and read
-//!    back.
-//! 3. **Index-Version monotonicity** — no column's Index Version moves
-//!    backwards across kill + recovery.
-//! 4. **Parity consistency** — [`aceso_core::scrub()`] reports every
-//!    parity equation and delta pair clean after full recovery.
+//! Each cell runs the same script: launch a `Fixture` and preload it
+//! (optionally ageing it into a reclamation-relevant state), arm the
+//! cell's injection and kill, run the operation, drive tiered recovery,
+//! then hand the store to `Fixture::judge`. The injected key may end in
+//! either its pre-op or its intended post-op state (the commit protocol's
+//! allowed ambiguity window), never anything else; it is always probed
+//! for meta-lock liveness, and a never-inserted key must stay absent.
 
-use crate::cell::{Cell, InjectionSite, KillTiming, OpType, ReclaimState};
+use crate::axis::{Axis, Outcome};
+use crate::cell::{ci_matrix, full_matrix, Cell, InjectionSite, KillTiming, OpType, ReclaimState};
+use crate::fixture::{fail_fast, fmt_key, gen_value, take_ms, written_off, Fixture};
+use crate::sweep::Counterexample;
+use crate::CI_CELLS;
 use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{
-    recover_cn, recover_mn, recover_mn_with, scrub, AcesoClient, AcesoConfig, AcesoStore,
-    ClientTuning, StoreError,
-};
+use aceso_core::{recover_mn, recover_mn_with, AcesoStore, StoreError};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, TraceSink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule, TraceSink};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Store configuration for matrix cells: the `small()` topology shrunk
-/// (fewer/smaller blocks, fewer index groups) so a full launch → preload →
-/// crash → recover → scrub cycle stays well under a second.
-pub fn chaos_config() -> AcesoConfig {
-    AcesoConfig {
-        block_size: 16 << 10,
-        num_arrays: 4,
-        num_delta: 12,
-        index_groups: 128,
-        bitmap_flush_every: 16,
-        ..AcesoConfig::small()
-    }
-}
+/// The crash matrix: (operation × injection site × MN-kill timing ×
+/// reclamation state), one [`Cell`] per combination.
+#[derive(Clone, Copy, Debug)]
+pub struct CrashMatrix;
 
-/// Human-readable labels of the four invariant classes, indexed like
-/// [`CellPhases::invariants_ms`].
-pub const INVARIANT_CLASSES: [&str; 4] = [
-    "oracle-agreement",
-    "meta-lock-liveness",
-    "iv-monotonicity",
-    "parity-scrub",
-];
+/// What one crash-matrix cell run observed.
+pub type CellOutcome = Outcome<CrashMatrix>;
 
 /// Wall-clock breakdown of one cell run, summed by the sweep summary so
 /// slow invariant checks are visible without profiling.
@@ -69,87 +44,82 @@ pub struct CellPhases {
     pub op_ms: f64,
     /// Post-crash tiered recovery (CN consistency, then MN tiers).
     pub recovery_ms: f64,
-    /// Per-invariant-class check time, indexed by [`INVARIANT_CLASSES`].
+    /// Per-invariant-class check time, indexed by
+    /// [`crate::fixture::INVARIANT_CLASSES`].
     pub invariants_ms: [f64; 4],
 }
 
-/// What one cell run observed.
-#[derive(Clone, Debug)]
-pub struct CellOutcome {
-    /// The cell that ran.
-    pub cell: Cell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
+/// What a crash-matrix cell observed beyond its violations.
+#[derive(Clone, Debug, Default)]
+pub struct CellStats {
     /// Whether the armed injection actually fired.
     pub injection_fired: bool,
     /// Whether the home MN actually died.
     pub mn_killed: bool,
     /// Whether the client crashed (or was written off as blocked) mid-op.
     pub client_crashed: bool,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
-    /// Where that wall-clock went.
+    /// Where the wall-clock went.
     pub phases: CellPhases,
+    /// The simplest still-failing variant of a violating cell, filled by
+    /// [`crate::sweep()`] for the first few violating cells.
+    pub minimized: Option<Counterexample>,
 }
 
-impl CellOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+/// Equality ignores the wall-clock `phases`.
+impl PartialEq for CellStats {
+    fn eq(&self, other: &Self) -> bool {
+        (self.injection_fired, self.mn_killed, self.client_crashed, &self.minimized)
+            == (other.injection_fired, other.mn_killed, other.client_crashed, &other.minimized)
     }
 }
 
-/// Runs one cell. Infrastructure failures (launch, preload, recovery
-/// errors) are reported as violations too: a cell that cannot even set up
-/// is a finding, not a skip.
-pub fn run_cell(cell: &Cell, seed: u64) -> CellOutcome {
-    run_cell_with_sink(cell, seed, None)
-}
+impl Axis for CrashMatrix {
+    const NAME: &'static str = "sweep";
+    const CELLS: &'static str = "cells";
+    const CLEAN: &'static str = "all invariants held in every explored cell";
+    type Cell = Cell;
+    type Stats = CellStats;
 
-/// [`run_cell`] with a [`TraceSink`] installed on the store's cluster for
-/// the duration of the cell, so a race detector observes every verb the
-/// schedule issues. The runner marks its phase boundaries (preload done,
-/// checkpoints done, crash quiesced, recovery done, pre-scrub) with
-/// [`aceso_rdma::Cluster::trace_barrier`] — the membership-service
-/// quiescence points Aceso's recovery protocol (§3.4) relies on. Barriers
-/// are no-ops when no sink is installed, so `run_cell` pays nothing.
-pub fn run_cell_with_sink(
-    cell: &Cell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> CellOutcome {
-    let start = Instant::now();
-    let mut out = CellOutcome {
-        cell: *cell,
-        seed,
-        violations: Vec::new(),
-        injection_fired: false,
-        mn_killed: false,
-        client_crashed: false,
-        duration_ms: 0,
-        phases: CellPhases::default(),
-    };
-    if let Err(e) = run_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
+    fn cells(seed: u64, ci: bool) -> Vec<Cell> {
+        if ci {
+            ci_matrix(seed, CI_CELLS)
+        } else {
+            full_matrix()
+        }
     }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
 
-/// Deterministic value generator: length and bytes come from the cell's
-/// seeded RNG, the first byte tags the generation for readable mismatches.
-pub(crate) fn gen_value(rng: &mut StdRng, tag: u8) -> Vec<u8> {
-    let len = rng.gen_range(24usize..96);
-    let mut v = vec![0u8; len];
-    rng.fill_bytes(&mut v);
-    v[0] = tag;
-    v
-}
+    fn exec(
+        cell: &Cell,
+        seed: u64,
+        sink: Option<Arc<dyn TraceSink>>,
+        out: &mut CellOutcome,
+    ) -> Result<(), String> {
+        run_cell_inner(cell, seed, out, sink)
+    }
 
-pub(crate) fn fmt_key(k: &[u8]) -> String {
-    String::from_utf8_lossy(k).into_owned()
+    fn summary(outcomes: &[CellOutcome]) -> String {
+        let count = |f: fn(&CellStats) -> bool| outcomes.iter().filter(|o| f(&o.stats)).count();
+        format!(
+            "injections fired: {}   MNs killed: {}   clients crashed: {}",
+            count(|s| s.injection_fired),
+            count(|s| s.mn_killed),
+            count(|s| s.client_crashed)
+        )
+    }
+
+    fn detail(o: &CellOutcome) -> String {
+        format!("fired={}, killed={}", o.stats.injection_fired, o.stats.mn_killed)
+    }
+
+    /// `chaos analyze` traces the crash matrix itself (with the per-cell
+    /// seeds of the sweep, see [`crate::axis::trace_matrix`]), not a slice.
+    fn traced() -> Vec<Cell> {
+        Vec::new()
+    }
+
+    fn render(report: &crate::axis::Report<Self>) -> String {
+        crate::sweep::render(report)
+    }
 }
 
 /// Brute-forces two keys with equal fingerprint, equal home column, and
@@ -195,20 +165,6 @@ fn twin_kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
     Ok(unpack_col(slot.atomic.addr48).0)
 }
 
-pub(crate) fn fmt_state(s: &Option<Vec<u8>>) -> String {
-    match s {
-        None => "absent".into(),
-        Some(v) => format!("{}…[{}]", fmt_key(&v[..v.len().min(8)]), v.len()),
-    }
-}
-
-/// Milliseconds since `t`, resetting `t` to now (phase-clock helper).
-fn take_ms(t: &mut Instant) -> f64 {
-    let e = t.elapsed().as_secs_f64() * 1e3;
-    *t = Instant::now();
-    e
-}
-
 fn run_cell_inner(
     cell: &Cell,
     seed: u64,
@@ -216,62 +172,34 @@ fn run_cell_inner(
     sink: Option<Arc<dyn TraceSink>>,
 ) -> Result<(), String> {
     let mut clock = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
+    let mut fx = Fixture::launch(seed, sink)?;
+    let store = Arc::clone(&fx.store);
     let n = store.cfg.num_mns;
-
-    // The op client fails fast when a column dies so a blocked operation
-    // costs a cell milliseconds, not the production 10 s grace window.
-    // Budgets multiply: every commit retry re-enters the index wait, so
-    // a blocked op costs at most ~max_retries × index_wait_ms.
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
     let mut client = store
-        .client_with(tuning)
+        .client_with(fail_fast())
         .map_err(|e| format!("client: {e}"))?;
 
     // ---- Preload ---------------------------------------------------------
-    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    let preload = |client: &mut AcesoClient,
-                       oracle: &mut BTreeMap<Vec<u8>, Vec<u8>>,
-                       rng: &mut StdRng,
-                       prefix: &str,
-                       count: usize|
-     -> Result<(), String> {
-        for i in 0..count {
-            let k = format!("{prefix}-{i:03}").into_bytes();
-            let v = gen_value(rng, b'A');
-            client
-                .insert(&k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-            oracle.insert(k, v);
-        }
-        Ok(())
-    };
+    fn keys(prefix: &'static str, count: usize) -> impl Iterator<Item = Vec<u8>> {
+        (0..count).map(move |i| format!("{prefix}-{i:03}").into_bytes())
+    }
     match cell.reclaim {
-        ReclaimState::Fresh => preload(&mut client, &mut oracle, &mut rng, "key", 24)?,
+        ReclaimState::Fresh => fx.preload(&mut client, keys("key", 24))?,
         ReclaimState::Aged => {
-            preload(&mut client, &mut oracle, &mut rng, "key", 36)?;
+            fx.preload(&mut client, keys("key", 36))?;
             client
                 .close_open_blocks()
                 .map_err(|e| format!("preload close: {e}"))?;
-            for i in (0..36).step_by(3) {
-                let k = format!("key-{i:03}").into_bytes();
+            for k in keys("key", 36).step_by(3) {
                 client
                     .delete(&k)
                     .map_err(|e| format!("preload delete {}: {e}", fmt_key(&k)))?;
-                oracle.remove(&k);
+                fx.oracle.values.remove(&k);
             }
             client
                 .flush_bitmaps()
                 .map_err(|e| format!("preload flush: {e}"))?;
-            preload(&mut client, &mut oracle, &mut rng, "aged", 12)?;
+            fx.preload(&mut client, keys("aged", 12))?;
         }
     }
     // Colliding-fingerprint cells plant the twin pair from a throwaway
@@ -280,13 +208,7 @@ fn run_cell_inner(
     let twins = if cell.op == OpType::SearchCollide {
         let (a, b) = collision_twins(&store)?;
         let mut planter = store.client().map_err(|e| format!("planter: {e}"))?;
-        for k in [&a, &b] {
-            let v = gen_value(&mut rng, b'A');
-            planter
-                .insert(k, &v)
-                .map_err(|e| format!("plant twin {}: {e}", fmt_key(k)))?;
-            oracle.insert(k.clone(), v);
-        }
+        fx.preload(&mut planter, [a.clone(), b.clone()])?;
         // Close (= erasure-code) every open block before the checkpoint
         // rounds: the index-tier-only window loses closed, checkpointed
         // blocks, while open blocks — and every closed block sharing a
@@ -302,32 +224,20 @@ fn run_cell_inner(
     } else {
         None
     };
-    store.cluster.trace_barrier();
-    out.phases.setup_ms = take_ms(&mut clock);
-
-    // Two checkpoint rounds so every column has a restorable checkpoint
-    // and a non-trivial Index Version to regress from.
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
-    out.phases.ckpt_ms = take_ms(&mut clock);
+    out.stats.phases.setup_ms = take_ms(&mut clock);
+    fx.checkpoint()?;
+    out.stats.phases.ckpt_ms = take_ms(&mut clock);
 
     // ---- Arm the cell ----------------------------------------------------
     let op_key: Vec<u8> = match (cell.op, &twins) {
         (OpType::Insert, _) => b"probe-new".to_vec(),
         (OpType::SearchCollide, Some((_, b))) => b.clone(),
         _ => {
-            let keys: Vec<&Vec<u8>> = oracle.keys().collect();
-            keys[rng.gen_range(0..keys.len())].clone()
+            let keys: Vec<&Vec<u8>> = fx.oracle.values.keys().collect();
+            keys[fx.rng.gen_range(0..keys.len())].clone()
         }
     };
-    let new_val = gen_value(&mut rng, b'N');
+    let new_val = gen_value(&mut fx.rng, b'N');
     // The kill axis normally aims at the op key's home column; for the
     // collision cells it aims at the column holding the *earlier* twin's
     // KV block, so degraded kills turn that candidate into a
@@ -339,23 +249,15 @@ fn run_cell_inner(
     };
     let home_node = store.directory().node_of(home_col);
 
-    match cell.kill {
-        KillTiming::BeforeOp => {
-            if !store.kill_mn(home_col) {
-                out.violations.push("kill_mn reported node already dead".into());
-            }
-            out.mn_killed = true;
-            recover_mn(&store, home_col).map_err(|e| format!("recover_mn(pre): {e}"))?;
+    if matches!(cell.kill, KillTiming::BeforeOp | KillTiming::BeforeOpDegraded) {
+        if !store.kill_mn(home_col) {
+            out.violations.push("kill_mn reported node already dead".into());
         }
-        KillTiming::BeforeOpDegraded => {
-            if !store.kill_mn(home_col) {
-                out.violations.push("kill_mn reported node already dead".into());
-            }
-            out.mn_killed = true;
-            recover_mn_with(&store, home_col, false)
-                .map_err(|e| format!("recover_mn(index tier): {e}"))?;
-        }
-        KillTiming::None | KillTiming::AtVerb { .. } => {}
+        out.stats.mn_killed = true;
+        // The degraded timing recovers the Index tier only: the op runs
+        // against a replacement whose old blocks are still lost.
+        let full = cell.kill == KillTiming::BeforeOp;
+        recover_mn_with(&store, home_col, full).map_err(|e| format!("recover_mn(pre): {e}"))?;
     }
     store.cluster.trace_barrier();
 
@@ -386,16 +288,11 @@ fn run_cell_inner(
         && matches!(cell.op, OpType::Insert | OpType::Update | OpType::Delete);
     let attempts = if needs_rollover { 300 } else { 1 };
     let kill_planned = cell.kill != KillTiming::None;
-
-    // The commit ambiguity window: (pre-op state, intended post-op state).
-    type Window = (Option<Vec<u8>>, Option<Vec<u8>>);
-    let mut ambiguous: Option<Window> = None;
     let mut crashed_at_point = false;
-    let mut crashed_at_verb = false;
-    let mut blocked = false;
+    let mut crashed = false;
 
     for attempt in 0..attempts {
-        let prev = oracle.get(&op_key).cloned();
+        let prev = fx.oracle.get(&op_key);
         let (res, intended): (Result<(), StoreError>, Option<Vec<u8>>) = match cell.op {
             OpType::Insert => (client.insert(&op_key, &new_val), Some(new_val.clone())),
             OpType::Update => (client.update(&op_key, &new_val), Some(new_val.clone())),
@@ -408,49 +305,28 @@ fn run_cell_inner(
                     (client.delete(&op_key).map(|_| ()), None)
                 }
             }
-            OpType::Search | OpType::SearchCollide => match client.search(&op_key) {
-                Ok(got) => {
-                    if got != prev {
-                        out.violations.push(format!(
-                            "search({}) returned {} want {}",
-                            fmt_key(&op_key),
-                            fmt_state(&got),
-                            fmt_state(&prev)
-                        ));
+            OpType::Search | OpType::SearchCollide => {
+                let res = client.search(&op_key).map(|got| {
+                    if let Err(e) = fx.oracle.check_read(&op_key, got) {
+                        out.violations.push(format!("search({}) {e}", fmt_key(&op_key)));
                     }
-                    (Ok(()), prev.clone())
-                }
-                Err(e) => (Err(e), prev.clone()),
-            },
+                });
+                (res, prev)
+            }
         };
         match res {
             Ok(()) => {
-                match &intended {
-                    Some(v) => oracle.insert(op_key.clone(), v.clone()),
-                    None => oracle.remove(&op_key),
-                };
+                fx.oracle.commit(&op_key, intended);
                 if !needs_rollover && attempt + 1 == attempts {
                     break;
                 }
             }
-            Err(StoreError::Shutdown) => {
-                crashed_at_point = true;
-                ambiguous = Some((prev, intended));
-                break;
-            }
-            Err(StoreError::Rdma(RdmaError::Injected { .. })) => {
-                crashed_at_verb = true;
-                ambiguous = Some((prev, intended));
-                break;
-            }
-            Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-            | Err(StoreError::RetriesExhausted)
-                if kill_planned =>
-            {
-                // The home MN died under the op and nobody has recovered it
-                // yet: the client is written off as crashed-while-blocked.
-                blocked = true;
-                ambiguous = Some((prev, intended));
+            // The client is written off as crashed mid-op, and the key is
+            // left in its commit ambiguity window.
+            Err(e) if written_off(&e, kill_planned) => {
+                crashed_at_point = matches!(e, StoreError::Shutdown);
+                crashed = true;
+                fx.oracle.interrupt(&op_key, intended);
                 break;
             }
             Err(e) => {
@@ -461,25 +337,16 @@ fn run_cell_inner(
         }
     }
 
-    let crashed = crashed_at_point || crashed_at_verb || blocked;
-    out.client_crashed = crashed;
-    let kill_fired_at_verb = plan.as_ref().is_some_and(|p| {
-        p.fired()
-            .iter()
-            .any(|f| f.action == FaultAction::KillNode)
-    });
-    if kill_fired_at_verb {
-        out.mn_killed = true;
-    }
-    out.injection_fired = match cell.site {
+    out.stats.client_crashed = crashed;
+    let fired = |action| plan.as_ref().is_some_and(|p| p.fired().iter().any(|f| f.action == action));
+    let kill_fired_at_verb = fired(FaultAction::KillNode);
+    out.stats.mn_killed |= kill_fired_at_verb;
+    out.stats.injection_fired = match cell.site {
         InjectionSite::None => false,
         InjectionSite::Client(_) => crashed_at_point,
-        InjectionSite::Verb { .. } => plan
-            .as_ref()
-            .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::Fail)),
+        InjectionSite::Verb { .. } => fired(FaultAction::Fail),
     };
-
-    out.phases.op_ms = take_ms(&mut clock);
+    out.stats.phases.op_ms = take_ms(&mut clock);
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
     // The crash is quiesced before recovery begins (the membership service
@@ -489,8 +356,7 @@ fn run_cell_inner(
     drop(client);
     store.cluster.trace_barrier();
     if crashed {
-        let mut revived = store.client_with_id(cli_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn: {e}"))?;
+        fx.recover_cn(cli_id)?;
     }
     if kill_fired_at_verb {
         recover_mn(&store, home_col).map_err(|e| format!("recover_mn: {e}"))?;
@@ -502,142 +368,47 @@ fn run_cell_inner(
             .map_err(|e| format!("recover_mn(block tier): {e}"))?;
     }
     store.cluster.trace_barrier();
-    out.phases.recovery_ms = take_ms(&mut clock);
+    out.stats.phases.recovery_ms = take_ms(&mut clock);
 
     // ---- Invariants -------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
-
-    // 1. Oracle agreement, with the ambiguity window on the injected key.
-    for (k, v) in &oracle {
-        if *k == op_key {
-            continue;
-        }
-        match sweep.search(k) {
-            Ok(Some(got)) if got == *v => {}
-            Ok(got) => out.violations.push(format!(
-                "oracle mismatch on {}: got {} want {}",
-                fmt_key(k),
-                fmt_state(&got),
-                fmt_state(&Some(v.clone()))
-            )),
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-    match sweep.search(&op_key) {
-        Ok(got) => {
-            let allowed: Vec<Option<Vec<u8>>> = match &ambiguous {
-                Some((pre, post)) => vec![pre.clone(), post.clone()],
-                None => vec![oracle.get(&op_key).cloned()],
-            };
-            if !allowed.contains(&got) {
-                out.violations.push(format!(
-                    "op key {} outside ambiguity window: got {} allowed {}",
-                    fmt_key(&op_key),
-                    fmt_state(&got),
-                    allowed
-                        .iter()
-                        .map(fmt_state)
-                        .collect::<Vec<_>>()
-                        .join(" | ")
-                ));
-            }
-        }
-        Err(e) => out
-            .violations
-            .push(format!("op key search {}: {e}", fmt_key(&op_key))),
-    }
-    match sweep.search(b"never-inserted-key") {
-        Ok(None) => {}
-        Ok(got) => out
-            .violations
-            .push(format!("phantom key materialized: {}", fmt_state(&got))),
-        Err(e) => out.violations.push(format!("phantom key search: {e}")),
-    }
-    out.phases.invariants_ms[0] = take_ms(&mut clock);
-
-    // 2. Meta-lock liveness: a probe write on the injected key must get
-    // through (breaking any lock the crashed client abandoned).
-    let probe = gen_value(&mut rng, b'P');
-    match sweep.insert(&op_key, &probe) {
-        Ok(()) => match sweep.search(&op_key) {
-            Ok(Some(got)) if got == probe => {}
-            Ok(got) => out.violations.push(format!(
-                "probe readback mismatch: got {}",
-                fmt_state(&got)
-            )),
-            Err(e) => out.violations.push(format!("probe readback: {e}")),
-        },
-        Err(e) => out
-            .violations
-            .push(format!("probe insert blocked (stale meta lock?): {e}")),
-    }
-    out.phases.invariants_ms[1] = take_ms(&mut clock);
-
-    // 3. Index-Version monotonicity across kill + recovery.
-    for (col, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, col);
-        if post < *pre {
-            out.violations.push(format!(
-                "index version regressed on col {col}: {pre} -> {post}"
-            ));
-        }
-    }
-    out.phases.invariants_ms[2] = take_ms(&mut clock);
-
-    // 4. Parity-stripe consistency after full recovery.
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-    out.phases.invariants_ms[3] = take_ms(&mut clock);
-
-    store.shutdown();
+    // The op key is checked after every other key, then a key no schedule
+    // ever writes (no phantom materializes); the op key is always probed.
+    out.stats.phases.invariants_ms =
+        fx.judge(std::slice::from_ref(&op_key), &[&op_key, b"never-inserted-key"], &mut out.violations)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{Cell, InjectionSite, KillTiming, OpType, ReclaimState};
+    use crate::axis::assert_deterministic;
     use aceso_rdma::VerbKind;
+
+    fn cell(op: OpType, site: InjectionSite, kill: KillTiming, reclaim: ReclaimState) -> Cell {
+        Cell { op, site, kill, reclaim }
+    }
 
     #[test]
     fn quiet_cell_passes() {
-        let cell = Cell {
-            op: OpType::Update,
-            site: InjectionSite::None,
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Fresh,
-        };
-        let out = run_cell(&cell, 11);
+        let c = cell(OpType::Update, InjectionSite::None, KillTiming::None, ReclaimState::Fresh);
+        let out = CrashMatrix::run(&c, 11, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.injection_fired);
-        assert!(!out.mn_killed);
-        assert!(!out.client_crashed);
+        assert!(!out.stats.injection_fired);
+        assert!(!out.stats.mn_killed);
+        assert!(!out.stats.client_crashed);
     }
 
     #[test]
     fn verb_fault_crashes_client_and_recovers() {
-        let cell = Cell {
-            op: OpType::Update,
-            site: InjectionSite::Verb {
-                kind: VerbKind::Write,
-                skip: 0,
-            },
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Fresh,
+        let site = InjectionSite::Verb {
+            kind: VerbKind::Write,
+            skip: 0,
         };
-        let out = run_cell(&cell, 12);
+        let c = cell(OpType::Update, site, KillTiming::None, ReclaimState::Fresh);
+        let out = CrashMatrix::run(&c, 12, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.injection_fired);
-        assert!(out.client_crashed);
+        assert!(out.stats.injection_fired);
+        assert!(out.stats.client_crashed);
     }
 
     /// The degraded colliding-fingerprint cell (§3.4.1): the earlier
@@ -647,44 +418,32 @@ mod tests {
     /// twin's SEARCH return "absent".
     #[test]
     fn degraded_collision_cell_passes() {
-        let cell = Cell {
-            op: OpType::SearchCollide,
-            site: InjectionSite::None,
-            kill: KillTiming::BeforeOpDegraded,
-            reclaim: ReclaimState::Fresh,
-        };
-        let out = run_cell(&cell, 5);
+        let c = cell(
+            OpType::SearchCollide,
+            InjectionSite::None,
+            KillTiming::BeforeOpDegraded,
+            ReclaimState::Fresh,
+        );
+        let out = CrashMatrix::run(&c, 5, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.mn_killed);
+        assert!(out.stats.mn_killed);
     }
 
     /// The same twin pair with the column healthy: the collision is
     /// classified off the direct read path.
     #[test]
     fn healthy_collision_cell_passes() {
-        let cell = Cell {
-            op: OpType::SearchCollide,
-            site: InjectionSite::None,
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Aged,
-        };
-        let out = run_cell(&cell, 6);
+        let c = cell(OpType::SearchCollide, InjectionSite::None, KillTiming::None, ReclaimState::Aged);
+        let out = CrashMatrix::run(&c, 6, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.mn_killed);
+        assert!(!out.stats.mn_killed);
     }
 
+    /// Same seed, same schedule, same outcome.
     #[test]
     fn same_seed_reproduces_identical_outcome() {
-        let cell = Cell {
-            op: OpType::Delete,
-            site: InjectionSite::Client(aceso_core::client::CrashPoint::BeforeCommit),
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Aged,
-        };
-        let a = run_cell(&cell, 99);
-        let b = run_cell(&cell, 99);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.injection_fired, b.injection_fired);
-        assert_eq!(a.client_crashed, b.client_crashed);
+        let site = InjectionSite::Client(CrashPoint::BeforeCommit);
+        let c = cell(OpType::Delete, site, KillTiming::AtVerb { skip: 1 }, ReclaimState::Aged);
+        assert_deterministic::<CrashMatrix>(c, 99);
     }
 }

@@ -1,54 +1,34 @@
-//! Matrix sweeps, seeded soak schedules, counterexample minimization,
-//! and the coverage report.
+//! Crash-matrix sweeps, seeded soak schedules, counterexample
+//! minimization, and the coverage report. Minimization and the
+//! per-invariant-class timings belong to the crash matrix alone.
 
+use crate::axis::{run_matrix, Axis, Report};
 use crate::cell::{full_matrix, Cell, InjectionSite, KillTiming, ReclaimState};
-use crate::runner::{run_cell, CellOutcome, INVARIANT_CLASSES};
+use crate::fixture::INVARIANT_CLASSES;
+use crate::runner::{CellOutcome, CrashMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// A minimized counterexample: the original failing cell, the smallest
-/// still-failing simplification of it, and that simplification's
-/// violations.
-#[derive(Clone, Debug)]
+/// Everything a sweep or soak produced.
+pub type SweepReport = Report<CrashMatrix>;
+
+/// The smallest still-failing simplification of a violating cell, and
+/// that simplification's violations (same seed as the original).
+#[derive(Clone, Debug, PartialEq)]
 pub struct Counterexample {
-    /// The cell the sweep caught.
-    pub original: Cell,
     /// The simplest variant that still violates an invariant.
     pub minimized: Cell,
     /// The minimized variant's violations.
     pub violations: Vec<String>,
-    /// The seed reproducing both.
-    pub seed: u64,
-}
-
-/// Everything a sweep or soak produced.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// The master seed the schedule derived from.
-    pub seed: u64,
-    /// Per-cell outcomes, in execution order.
-    pub outcomes: Vec<CellOutcome>,
-    /// Minimized counterexamples for the first few violating cells.
-    pub counterexamples: Vec<Counterexample>,
 }
 
 impl SweepReport {
-    /// Number of cells with at least one violation.
-    pub fn violating_cells(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.ok()).count()
-    }
-
-    /// `true` when every cell passed.
-    pub fn clean(&self) -> bool {
-        self.violating_cells() == 0
-    }
-
     /// Renders the wall-clock lines: the report header with the elapsed
     /// seconds, the per-phase wall time, and the per-invariant-class check
     /// time. They differ from run to run, so the CLI prints them on stderr
-    /// and keeps [`SweepReport::render`] byte-stable.
+    /// and keeps [`Report::render`] byte-stable.
     pub fn render_wall_clock(&self) -> String {
         let ms: u128 = self.outcomes.iter().map(|o| o.duration_ms).sum();
         let mut s = format!(
@@ -60,105 +40,83 @@ impl SweepReport {
         let sum = |f: &dyn Fn(&CellOutcome) -> f64| -> f64 { self.outcomes.iter().map(f).sum() };
         s.push_str(&format!(
             "  phase wall-time: setup {:.1}s  ckpt {:.1}s  op {:.1}s  recovery {:.1}s\n",
-            sum(&|o| o.phases.setup_ms) / 1e3,
-            sum(&|o| o.phases.ckpt_ms) / 1e3,
-            sum(&|o| o.phases.op_ms) / 1e3,
-            sum(&|o| o.phases.recovery_ms) / 1e3,
+            sum(&|o| o.stats.phases.setup_ms) / 1e3,
+            sum(&|o| o.stats.phases.ckpt_ms) / 1e3,
+            sum(&|o| o.stats.phases.op_ms) / 1e3,
+            sum(&|o| o.stats.phases.recovery_ms) / 1e3,
         ));
         s.push_str("  invariant check wall-time:\n");
         for (i, name) in INVARIANT_CLASSES.iter().enumerate() {
             s.push_str(&format!(
                 "    {name:<24} {:>8.1} ms\n",
-                sum(&|o| o.phases.invariants_ms[i])
+                sum(&|o| o.stats.phases.invariants_ms[i])
             ));
         }
         s
     }
+}
 
-    /// Renders the deterministic coverage report: per-axis explored-cell
-    /// counts, how often armed faults actually fired, violations, and
-    /// minimized counterexamples.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let fired = self.outcomes.iter().filter(|o| o.injection_fired).count();
-        let killed = self.outcomes.iter().filter(|o| o.mn_killed).count();
-        let crashed = self.outcomes.iter().filter(|o| o.client_crashed).count();
-        s.push_str(&format!(
-            "  injections fired: {fired}   MNs killed: {killed}   clients crashed: {crashed}\n"
-        ));
-
-        let mut axis = |title: &str, key: &dyn Fn(&CellOutcome) -> String| {
-            let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-            for o in &self.outcomes {
-                let e = counts.entry(key(o)).or_default();
-                e.0 += 1;
-                if !o.ok() {
-                    e.1 += 1;
-                }
-            }
-            s.push_str(&format!("  coverage by {title}:\n"));
-            for (k, (run, bad)) in counts {
-                if bad == 0 {
-                    s.push_str(&format!("    {k:<24} {run:>4} cells\n"));
-                } else {
-                    s.push_str(&format!("    {k:<24} {run:>4} cells  {bad} VIOLATING\n"));
-                }
-            }
-        };
-        axis("operation", &|o| o.cell.op.to_string());
-        axis("injection site", &|o| o.cell.site.to_string());
-        axis("kill timing", &|o| o.cell.kill.to_string());
-        axis("reclaim state", &|o| o.cell.reclaim.to_string());
-
-        let bad = self.violating_cells();
-        if bad == 0 {
-            s.push_str("  all invariants held in every explored cell\n");
-        } else {
-            s.push_str(&format!("  INVARIANT VIOLATIONS in {bad} cells:\n"));
-            for o in self.outcomes.iter().filter(|o| !o.ok()) {
-                s.push_str(&format!("    cell {} (seed {:#x}):\n", o.cell, o.seed));
-                for v in &o.violations {
-                    s.push_str(&format!("      - {v}\n"));
-                }
-            }
-            for cx in &self.counterexamples {
-                s.push_str(&format!(
-                    "  minimized counterexample: {} (from {}, seed {:#x}):\n",
-                    cx.minimized, cx.original, cx.seed
-                ));
-                for v in &cx.violations {
-                    s.push_str(&format!("      - {v}\n"));
-                }
+/// Renders the deterministic coverage report: how often armed faults
+/// actually fired, per-axis explored-cell counts, violations, and
+/// minimized counterexamples.
+pub(crate) fn render(report: &SweepReport) -> String {
+    let mut s = format!("  {}\n", CrashMatrix::summary(&report.outcomes));
+    let mut axis = |title: &str, key: &dyn Fn(&Cell) -> String| {
+        let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for o in &report.outcomes {
+            let e = counts.entry(key(&o.cell)).or_default();
+            e.0 += 1;
+            if !o.ok() {
+                e.1 += 1;
             }
         }
-        s
+        s.push_str(&format!("  coverage by {title}:\n"));
+        for (k, (run, bad)) in counts {
+            if bad == 0 {
+                s.push_str(&format!("    {k:<24} {run:>4} cells\n"));
+            } else {
+                s.push_str(&format!("    {k:<24} {run:>4} cells  {bad} VIOLATING\n"));
+            }
+        }
+    };
+    axis("operation", &|c| c.op.to_string());
+    axis("injection site", &|c| c.site.to_string());
+    axis("kill timing", &|c| c.kill.to_string());
+    axis("reclaim state", &|c| c.reclaim.to_string());
+
+    let bad: Vec<&CellOutcome> = report.outcomes.iter().filter(|o| !o.ok()).collect();
+    if bad.is_empty() {
+        s.push_str(&format!("  {}\n", CrashMatrix::CLEAN));
+        return s;
     }
+    s.push_str(&format!("  INVARIANT VIOLATIONS in {} cells:\n", bad.len()));
+    for o in &bad {
+        s.push_str(&format!("    cell {} (seed {:#x}):\n", o.cell, o.seed));
+        for v in &o.violations {
+            s.push_str(&format!("      - {v}\n"));
+        }
+    }
+    for o in &bad {
+        if let Some(cx) = &o.stats.minimized {
+            s.push_str(&format!(
+                "  minimized counterexample: {} (from {}, seed {:#x}):\n",
+                cx.minimized, o.cell, o.seed
+            ));
+            for v in &cx.violations {
+                s.push_str(&format!("      - {v}\n"));
+            }
+        }
+    }
+    s
 }
 
-/// Per-cell seeds are drawn from one master stream so the whole schedule
-/// replays from a single number. Shared with [`crate::analyze`] so
-/// `analyze` traces the very same schedules `sweep` runs.
-pub(crate) fn cell_seeds(seed: u64, count: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|_| rng.next_u64()).collect()
-}
-
-/// Runs `cells` in order, each with a seed derived from `seed`.
-/// `progress` is called after every cell (CLI verbosity hook).
-pub fn sweep(cells: &[Cell], seed: u64, mut progress: impl FnMut(&CellOutcome)) -> SweepReport {
-    let seeds = cell_seeds(seed, cells.len());
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for (cell, cell_seed) in cells.iter().zip(seeds) {
-        let out = run_cell(cell, cell_seed);
-        progress(&out);
-        outcomes.push(out);
-    }
-    let counterexamples = minimize_failures(&outcomes);
-    SweepReport {
-        seed,
-        outcomes,
-        counterexamples,
-    }
+/// Runs `cells` in order, each with a seed derived from `seed`, then
+/// minimizes the first few violating cells. `progress` is called after
+/// every cell (CLI verbosity hook).
+pub fn sweep(cells: &[Cell], seed: u64, progress: impl FnMut(&CellOutcome)) -> SweepReport {
+    let mut report = run_matrix(cells, seed, progress);
+    minimize_failures(&mut report.outcomes);
+    report
 }
 
 /// Runs seeded random cells from the full matrix until `duration` elapses
@@ -174,30 +132,24 @@ pub fn soak(
     let mut outcomes = Vec::new();
     loop {
         let cell = matrix[rng.gen_range(0..matrix.len())];
-        let cell_seed = rng.next_u64();
-        let out = run_cell(&cell, cell_seed);
+        let out = CrashMatrix::run(&cell, rng.next_u64(), None);
         progress(&out);
         outcomes.push(out);
         if Instant::now() >= deadline {
             break;
         }
     }
-    let counterexamples = minimize_failures(&outcomes);
-    SweepReport {
-        seed,
-        outcomes,
-        counterexamples,
-    }
+    minimize_failures(&mut outcomes);
+    SweepReport { seed, outcomes }
 }
 
 /// Greedily simplifies the first few violating cells: drop the ageing,
 /// then the injection, then the kill — keeping each simplification only
 /// if the cell still fails. The result is the smallest schedule a
 /// developer has to reason about.
-fn minimize_failures(outcomes: &[CellOutcome]) -> Vec<Counterexample> {
+fn minimize_failures(outcomes: &mut [CellOutcome]) {
     const MAX_MINIMIZED: usize = 3;
-    let mut cxs = Vec::new();
-    for o in outcomes.iter().filter(|o| !o.ok()).take(MAX_MINIMIZED) {
+    for o in outcomes.iter_mut().filter(|o| !o.ok()).take(MAX_MINIMIZED) {
         let mut current = o.cell;
         let mut violations = o.violations.clone();
         loop {
@@ -220,7 +172,7 @@ fn minimize_failures(outcomes: &[CellOutcome]) -> Vec<Counterexample> {
                 if cand == current {
                     continue;
                 }
-                let rerun = run_cell(&cand, o.seed);
+                let rerun = CrashMatrix::run(&cand, o.seed, None);
                 if !rerun.ok() {
                     current = cand;
                     violations = rerun.violations;
@@ -232,23 +184,9 @@ fn minimize_failures(outcomes: &[CellOutcome]) -> Vec<Counterexample> {
                 break;
             }
         }
-        cxs.push(Counterexample {
-            original: o.cell,
+        o.stats.minimized = Some(Counterexample {
             minimized: current,
             violations,
-            seed: o.seed,
         });
-    }
-    cxs
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_seeds_are_stable() {
-        assert_eq!(cell_seeds(5, 4), cell_seeds(5, 4));
-        assert_ne!(cell_seeds(5, 4), cell_seeds(6, 4));
     }
 }

@@ -4,22 +4,6 @@
 
 use aceso_chaos::{ci_matrix, sweep, Cell, KillTiming, DEFAULT_SEED};
 
-fn outcome_fingerprint(report: &aceso_chaos::SweepReport) -> Vec<(String, Vec<String>, bool, bool, bool)> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| {
-            (
-                o.cell.id(),
-                o.violations.clone(),
-                o.injection_fired,
-                o.mn_killed,
-                o.client_crashed,
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn ci_slice_is_clean_and_deterministic() {
     // A slice of the real CI profile, padded with a kill cell so the
@@ -40,12 +24,13 @@ fn ci_slice_is_clean_and_deterministic() {
         a.render()
     );
 
-    // Same seed, same cells: bit-identical schedules and outcomes.
+    // Same seed, same cells: identical outcomes apart from wall-clock
+    // time (outcome equality ignores timings).
     let b = sweep(&cells, DEFAULT_SEED, |_| {});
-    assert_eq!(outcome_fingerprint(&a), outcome_fingerprint(&b));
+    assert_eq!(a.outcomes, b.outcomes);
 
     // The slice must exercise the machinery, not just quiet cells.
-    assert!(a.outcomes.iter().any(|o| o.mn_killed), "no MN ever killed");
+    assert!(a.outcomes.iter().any(|o| o.stats.mn_killed), "no MN ever killed");
 
     // The report renders a coverage section, and its header (printed
     // with the other wall-clock lines) carries the explored-cell count.
