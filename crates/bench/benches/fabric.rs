@@ -35,6 +35,15 @@ fn bench_fabric(c: &mut Criterion) {
             std::hint::black_box(buf[0])
         });
     });
+    // The combined-bucket read every SEARCH makes, twice per index probe.
+    g.throughput(Throughput::Bytes(256));
+    g.bench_function("read_256", |b| {
+        let mut buf = [0u8; 256];
+        b.iter(|| {
+            dm.read(addr.add(64), &mut buf).unwrap();
+            std::hint::black_box(buf[0])
+        });
+    });
     g.throughput(Throughput::Bytes(256 << 10));
     g.bench_function("read_256k_block", |b| {
         let mut buf = vec![0u8; 256 << 10];

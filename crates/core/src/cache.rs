@@ -32,7 +32,9 @@
 use aceso_index::{SlotAtomic, SlotMeta};
 use aceso_obs::{Counter, Registry};
 use aceso_rdma::GlobalAddr;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// One cached index resolution for a key.
 ///
@@ -82,6 +84,16 @@ struct Slot {
     /// CLOCK reference bit: set on every hit, cleared (one second chance)
     /// when the hand sweeps past.
     referenced: bool,
+}
+
+impl Slot {
+    /// A freshly filled or refreshed entry, referenced.
+    fn hot(entry: CacheEntry) -> Self {
+        Slot {
+            entry,
+            referenced: true,
+        }
+    }
 }
 
 /// A bounded, deterministic, second-chance index cache (see the module
@@ -176,21 +188,24 @@ impl IndexCache {
         if self.capacity == 0 {
             return;
         }
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.entry = entry;
-            slot.referenced = true;
-            return;
+        // Only a full cache must know whether the key is new before it can
+        // touch the map (a new key evicts first); below capacity one entry
+        // lookup does both.
+        if self.map.len() >= self.capacity {
+            if let Some(slot) = self.map.get_mut(&key) {
+                *slot = Slot::hot(entry);
+                return;
+            }
+            while self.map.len() >= self.capacity {
+                self.evict_one();
+            }
         }
-        while self.map.len() >= self.capacity {
-            self.evict_one();
+        match self.map.entry(key) {
+            Entry::Occupied(mut o) => *o.get_mut() = Slot::hot(entry),
+            Entry::Vacant(v) => {
+                v.insert(Slot::hot(entry));
+            }
         }
-        self.map.insert(
-            key,
-            Slot {
-                entry,
-                referenced: true,
-            },
-        );
     }
 
     /// Drops `key`, counting an invalidation if it was present. Every
@@ -237,36 +252,30 @@ impl IndexCache {
         if self.map.is_empty() {
             return;
         }
-        loop {
-            let key = match &self.hand {
-                Some(h) => self
-                    .map
-                    .range::<[u8], _>((
-                        std::ops::Bound::Included(h.as_slice()),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .next()
-                    .map(|(k, _)| k.clone()),
-                None => None,
+        // No hand starts at the empty key, the smallest of all.
+        let hand = self.hand.as_deref().unwrap_or(&[]);
+        let sweep = |(k, slot): (&Vec<u8>, &mut Slot)| {
+            (!std::mem::take(&mut slot.referenced)).then(|| k.clone())
+        };
+        let victim = loop {
+            let from_hand = (Included(hand), Unbounded);
+            if let Some(k) = self.map.range_mut::<[u8], _>(from_hand).find_map(sweep) {
+                break k;
             }
-            .or_else(|| self.map.keys().next().cloned())
-            .expect("map is non-empty");
-            // Position the hand just past the current key: its successor,
-            // expressed as the smallest key strictly greater (key + 0x00).
-            let mut next = key.clone();
-            next.push(0);
-            self.hand = Some(next);
-            let slot = self.map.get_mut(&key).expect("key just ranged");
-            if slot.referenced {
-                slot.referenced = false;
-            } else {
-                self.map.remove(&key);
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-                return;
+            let wrapped = (Unbounded, Excluded(hand));
+            if let Some(k) = self.map.range_mut::<[u8], _>(wrapped).find_map(sweep) {
+                break k;
             }
+        };
+        self.map.remove(&victim);
+        if let Some(m) = &self.metrics {
+            m.evictions.inc();
         }
+        // Park the hand just past the victim: the smallest key strictly
+        // greater than it is the victim plus a 0x00 byte.
+        let mut next = victim;
+        next.push(0);
+        self.hand = Some(next);
     }
 }
 
@@ -287,6 +296,108 @@ mod tests {
 
     fn key(i: usize) -> Vec<u8> {
         format!("key-{i:04}").into_bytes()
+    }
+
+    /// CLOCK eviction as first written, one range seek, lookup and key
+    /// clone per hand step. `evict_one` must pick the same victims and
+    /// leave the hand in the same place. Returns the victim.
+    fn reference_evict_one(c: &mut IndexCache) -> Option<Vec<u8>> {
+        if c.map.is_empty() {
+            return None;
+        }
+        loop {
+            let key = match &c.hand {
+                Some(h) => c
+                    .map
+                    .range::<[u8], _>((Included(h.as_slice()), Unbounded))
+                    .next()
+                    .map(|(k, _)| k.clone()),
+                None => None,
+            }
+            .or_else(|| c.map.keys().next().cloned())
+            .expect("map is non-empty");
+            let mut next = key.clone();
+            next.push(0);
+            c.hand = Some(next);
+            let slot = c.map.get_mut(&key).expect("key just ranged");
+            if slot.referenced {
+                slot.referenced = false;
+            } else {
+                c.map.remove(&key);
+                return Some(key);
+            }
+        }
+    }
+
+    /// `insert` as first written, on top of [`reference_evict_one`].
+    fn reference_insert(c: &mut IndexCache, key: Vec<u8>, entry: CacheEntry) -> Vec<Vec<u8>> {
+        let mut victims = Vec::new();
+        if let Some(slot) = c.map.get_mut(&key) {
+            slot.entry = entry;
+            slot.referenced = true;
+            return victims;
+        }
+        while c.map.len() >= c.capacity {
+            victims.extend(reference_evict_one(c));
+        }
+        c.map.insert(key, Slot::hot(entry));
+        victims
+    }
+
+    #[test]
+    fn eviction_matches_reference_clock() {
+        let mut rng: u64 = 0xC10C;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for capacity in [1, 8, 4096] {
+            let mut fast = IndexCache::new(capacity, None);
+            let mut slow = IndexCache::new(capacity, None);
+            let (mut fast_victims, mut slow_victims) = (Vec::new(), Vec::new());
+            let keys = 2 * capacity + 3;
+            for op in 0..100_000u64 {
+                let k = key(next() as usize % keys);
+                match if op % 1000 == 999 { 16 } else { next() % 16 } {
+                    0..=6 => assert_eq!(fast.get(&k).is_some(), slow.get(&k).is_some()),
+                    7..=13 => {
+                        let evicts = fast.len() >= capacity && !fast.contains(&k);
+                        fast.insert(k.clone(), entry(op));
+                        if evicts {
+                            let mut victim = fast.hand.clone().expect("eviction moved the hand");
+                            victim.pop();
+                            fast_victims.push(victim);
+                        }
+                        slow_victims.extend(reference_insert(&mut slow, k, entry(op)));
+                    }
+                    14 => assert_eq!(fast.invalidate(&k), slow.invalidate(&k)),
+                    15 => {
+                        assert_eq!(fast.peek(&k).is_some(), slow.peek(&k).is_some())
+                    }
+                    _ => {
+                        // Drop about 1% of the keys, by their last two digits.
+                        let tail = format!("{:02}", next() % 100).into_bytes();
+                        fast.purge(|k, _| k.ends_with(&tail));
+                        slow.purge(|k, _| k.ends_with(&tail));
+                    }
+                }
+                assert_eq!(fast.hand, slow.hand, "capacity {capacity} op {op}");
+            }
+            assert!(
+                slow_victims.len() > 10_000,
+                "capacity {capacity}: too few evictions"
+            );
+            assert_eq!(fast_victims, slow_victims, "capacity {capacity}");
+            let state = |c: &IndexCache| -> Vec<(Vec<u8>, bool, u64)> {
+                c.map
+                    .iter()
+                    .map(|(k, s)| (k.clone(), s.referenced, s.entry.fill_epoch))
+                    .collect()
+            };
+            assert_eq!(state(&fast), state(&slow), "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -172,39 +172,35 @@ impl FuseeLayout {
             (h1 % self.index_groups, 0u64),
             (h2 % self.index_groups, 1u64),
         ];
-        let mut bufs: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
         let read_bytes = if self.wide_slots {
             4 * BUCKET_BYTES as usize // 16 B per slot: 256 B per combined bucket.
         } else {
             2 * BUCKET_BYTES as usize
         };
+        // Wide mode still decodes the first 128 B; the extra bytes only
+        // exist to charge the NIC what 16 B slots would cost.
+        let mut bufs = [[0u8; 4 * BUCKET_BYTES as usize]; 2];
         dm.batch(|dm| -> Result<()> {
-            for (i, &(g, c)) in coords.iter().enumerate() {
+            for (buf, &(g, c)) in bufs.iter_mut().zip(&coords) {
                 let off = base + g * GROUP_BYTES + c * BUCKET_BYTES;
-                // Wide mode still decodes the first 128 B; the extra bytes
-                // only exist to charge the NIC what 16 B slots would cost.
                 let want = read_bytes.min((self.index_size() - off) as usize);
-                let mut buf = dm.read_vec(GlobalAddr::new(node, off), want)?;
-                buf.resize(2 * BUCKET_BYTES as usize, 0);
-                bufs[i] = buf;
+                dm.read(GlobalAddr::new(node, off), &mut buf[..want])?;
             }
             Ok(())
         })?;
-        let mut scan = Scan::default();
-        let mut seen = Vec::with_capacity(4);
-        for (i, &(g, c)) in coords.iter().enumerate() {
-            for s in 0..COMBINED_SLOTS {
+        // Both hashes in one group: the second combined bucket opens with
+        // the shared overflow bucket the first one already ended with.
+        let shared = if coords[0].0 == coords[1].0 { 8 } else { 0 };
+        let mut scan = Scan {
+            matches: Vec::new(),
+            empties: Vec::with_capacity(2 * COMBINED_SLOTS as usize),
+        };
+        for (i, (buf, &(g, c))) in bufs.iter().zip(&coords).enumerate() {
+            let first = if i == 0 { 0 } else { shared };
+            for s in first..COMBINED_SLOTS {
                 let off = base + g * GROUP_BYTES + c * BUCKET_BYTES + s * 8;
-                if seen.contains(&off) {
-                    continue;
-                }
-                seen.push(off);
-                let raw = u64::from_le_bytes(
-                    bufs[i][(s * 8) as usize..(s * 8 + 8) as usize]
-                        .try_into()
-                        .unwrap(),
-                );
-                let slot = Slot8::from_raw(raw);
+                let at = (s * 8) as usize;
+                let slot = Slot8::from_raw(u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()));
                 let pos = SlotPos { offset: off };
                 if slot.is_empty() {
                     scan.empties.push(pos);

@@ -7,7 +7,7 @@
 //! additionally gets zero-cost local accessors used by checkpointing and
 //! recovery.
 
-use crate::layout::{IndexLayout, COMBINED_BYTES, COMBINED_SLOTS};
+use crate::layout::{IndexLayout, BUCKET_SLOTS, COMBINED_BYTES, COMBINED_SLOTS};
 use crate::slot::{SlotAtomic, SlotMeta, SLOT_BYTES};
 use aceso_rdma::{DmClient, GlobalAddr, NodeId, Region, Result};
 
@@ -58,31 +58,37 @@ impl RemoteIndex {
     /// `RDMA_READ`s) and classifies their slots.
     pub fn scan(&self, dm: &DmClient, key: &[u8], fp: u8) -> Result<BucketScan> {
         let coords = self.layout.buckets_for(key);
-        let mut bufs: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
+        let mut bufs = [[0u8; COMBINED_BYTES as usize]; 2];
         dm.batch(|dm| -> Result<()> {
-            for (i, &(g, c)) in coords.iter().enumerate() {
+            for (buf, &(g, c)) in bufs.iter_mut().zip(&coords) {
                 let off = self.layout.combined_offset(g, c);
-                bufs[i] = dm.read_vec(GlobalAddr::new(self.node, off), COMBINED_BYTES as usize)?;
+                dm.read(GlobalAddr::new(self.node, off), buf)?;
             }
             Ok(())
         })?;
 
-        let mut scan = BucketScan::default();
-        let mut seen = Vec::with_capacity(4);
-        for (i, &(g, c)) in coords.iter().enumerate() {
-            for s in 0..COMBINED_SLOTS {
-                let off = self.layout.slot_offset(g, c, s);
-                if seen.contains(&off) {
-                    continue; // Shared overflow bucket when both hashes hit one group.
-                }
-                seen.push(off);
-                let b = &bufs[i][(s * SLOT_BYTES) as usize..((s + 1) * SLOT_BYTES) as usize];
-                let atomic = SlotAtomic::decode(u64::from_le_bytes(b[..8].try_into().unwrap()));
-                let meta = SlotMeta::decode(u64::from_le_bytes(b[8..].try_into().unwrap()));
-                let addr = GlobalAddr::new(self.node, off);
+        // Both hashes in one group: the second combined bucket opens with
+        // the shared overflow bucket the first one already ended with.
+        let shared = if coords[0].0 == coords[1].0 {
+            BUCKET_SLOTS
+        } else {
+            0
+        };
+        let mut scan = BucketScan {
+            matches: Vec::new(),
+            empties: Vec::with_capacity(2 * COMBINED_SLOTS as usize),
+        };
+        for (i, (buf, &(g, c))) in bufs.iter().zip(&coords).enumerate() {
+            let first = if i == 0 { 0 } else { shared };
+            for s in first..COMBINED_SLOTS {
+                let b = &buf[(s * SLOT_BYTES) as usize..][..SLOT_BYTES as usize];
+                let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+                let atomic = SlotAtomic::decode(word(0));
+                let addr = GlobalAddr::new(self.node, self.layout.slot_offset(g, c, s));
                 if atomic.is_empty() {
                     scan.empties.push(addr);
                 } else if atomic.fp == fp {
+                    let meta = SlotMeta::decode(word(8));
                     scan.matches.push(SlotRef { addr, atomic, meta });
                 }
             }
@@ -236,6 +242,123 @@ mod tests {
         assert!(scan.matches.is_empty());
         // Two combined buckets of 16 slots, minus shared-overflow dedup.
         assert!(scan.empties.len() >= 24 && scan.empties.len() <= 32);
+    }
+
+    /// The scan as first written: both combined buckets slot by slot,
+    /// skipping any slot offset already visited. `scan` must agree with it
+    /// on which slots it reports and in what order.
+    fn reference_scan(
+        idx: &RemoteIndex,
+        region: &Region,
+        key: &[u8],
+        fp: u8,
+    ) -> (Vec<GlobalAddr>, Vec<GlobalAddr>) {
+        let (mut matches, mut empties, mut seen) = (Vec::new(), Vec::new(), Vec::new());
+        for (g, c) in idx.layout.buckets_for(key) {
+            for s in 0..COMBINED_SLOTS {
+                let off = idx.layout.slot_offset(g, c, s);
+                if seen.contains(&off) {
+                    continue;
+                }
+                seen.push(off);
+                let atomic = SlotAtomic::decode(region.load64(off).unwrap());
+                let addr = GlobalAddr::new(idx.node, off);
+                if atomic.is_empty() {
+                    empties.push(addr);
+                } else if atomic.fp == fp {
+                    matches.push(addr);
+                }
+            }
+        }
+        (matches, empties)
+    }
+
+    fn distinct(addrs: &[GlobalAddr]) -> usize {
+        let mut offs: Vec<u64> = addrs.iter().map(|a| a.offset).collect();
+        offs.sort_unstable();
+        offs.dedup();
+        offs.len()
+    }
+
+    #[test]
+    fn one_group_scan_visits_each_of_its_24_slots_once() {
+        let cluster = Cluster::new(ClusterConfig {
+            num_mns: 1,
+            region_len: 4096,
+            cost: CostModel::default(),
+        });
+        let idx = RemoteIndex::new(NodeId(0), IndexLayout::new(0, 1));
+        let dm = cluster.client();
+        let region = &cluster.node(NodeId(0)).unwrap().region;
+        let key = b"shared-group";
+        let fp = fingerprint(key);
+        let scan = idx.scan(&dm, key, fp).unwrap();
+        assert_eq!((scan.empties.len(), distinct(&scan.empties)), (24, 24));
+        assert_eq!(scan.empties, reference_scan(&idx, region, key, fp).1);
+        // Fill every slot with a fingerprint match: now all 24 are matches.
+        for s in 0..24 {
+            let a = SlotAtomic {
+                fp,
+                addr48: 64 * (s + 1),
+                ver: 1,
+            };
+            region.store64(s * SLOT_BYTES, a.encode()).unwrap();
+        }
+        let scan = idx.scan(&dm, key, fp).unwrap();
+        let addrs: Vec<GlobalAddr> = scan.matches.iter().map(|m| m.addr).collect();
+        assert!(scan.empties.is_empty());
+        assert_eq!((addrs.len(), distinct(&addrs)), (24, 24));
+        assert_eq!(addrs, reference_scan(&idx, region, key, fp).0);
+    }
+
+    #[test]
+    fn scan_agrees_with_reference_order() {
+        let mut rng: u64 = 0x5eed;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for groups in [1, 2, 64] {
+            let (cluster, _) = setup();
+            let idx = RemoteIndex::new(NodeId(0), IndexLayout::new(0, groups));
+            let dm = cluster.client();
+            let region = &cluster.node(NodeId(0)).unwrap().region;
+            // A third of the slots empty, a third carrying fingerprint 7,
+            // the rest another fingerprint; every Meta word distinct.
+            for slot in 0..groups * 24 {
+                let fp = match next() % 3 {
+                    0 => continue,
+                    1 => 7,
+                    _ => 8 + (next() % 200) as u8,
+                };
+                let a = SlotAtomic {
+                    fp,
+                    addr48: 64 * (slot + 1),
+                    ver: 1,
+                };
+                let m = SlotMeta {
+                    len64: 1,
+                    epoch: 2 * slot,
+                };
+                let at = slot * SLOT_BYTES;
+                region.store64(at, a.encode()).unwrap();
+                region.store64(at + 8, m.encode()).unwrap();
+            }
+            for k in 0..300 {
+                let key = format!("key-{k}").into_bytes();
+                let scan = idx.scan(&dm, &key, 7).unwrap();
+                let (matches, empties) = reference_scan(&idx, region, &key, 7);
+                let addrs: Vec<GlobalAddr> = scan.matches.iter().map(|m| m.addr).collect();
+                assert_eq!(addrs, matches, "groups {groups} key {k}");
+                assert_eq!(scan.empties, empties, "groups {groups} key {k}");
+                for m in &scan.matches {
+                    let meta = SlotMeta::decode(region.load64(m.addr.offset + 8).unwrap());
+                    assert_eq!(m.meta, meta);
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@ pub struct MemoryNode {
     /// Node-side fault plan: intercepts every verb targeting this node,
     /// from any client (see [`crate::FaultPlan`]).
     fault: Mutex<Option<Arc<FaultPlan>>>,
+    /// Fast-path flag mirroring `fault.is_some()`, so verbs to a node
+    /// without a fault plan skip the lock.
+    faulted: AtomicBool,
     /// Placement-epoch fences over byte ranges (see
     /// [`MemoryNode::install_fence`]).
     fences: Mutex<Vec<EpochFence>>,
@@ -53,6 +56,7 @@ impl MemoryNode {
             traffic: VerbCounters::new(),
             background: VerbCounters::new(),
             fault: Mutex::new(None),
+            faulted: AtomicBool::new(false),
             fences: Mutex::new(Vec::new()),
             fenced: AtomicBool::new(false),
         }
@@ -73,16 +77,25 @@ impl MemoryNode {
 
     /// Installs a fault plan intercepting all verbs to this node.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.lock() = Some(plan);
+        let mut g = self.fault.lock();
+        *g = Some(plan);
+        self.faulted.store(true, Ordering::Release);
     }
 
     /// Removes the node's fault plan, if any.
     pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
+        let mut g = self.fault.lock();
+        *g = None;
+        self.faulted.store(false, Ordering::Release);
     }
 
-    /// The currently installed fault plan, if any.
+    /// The currently installed fault plan, if any. A single load when
+    /// none is installed.
+    #[inline]
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.faulted.load(Ordering::Acquire) {
+            return None;
+        }
         self.fault.lock().clone()
     }
 

@@ -67,15 +67,26 @@ impl Region {
     /// torn word.
     pub fn read(&self, offset: u64, dst: &mut [u8]) -> Result<()> {
         let off = self.check(offset, dst.len())?;
-        let mut pos = 0usize;
-        while pos < dst.len() {
-            let byte = off + pos;
-            let widx = byte / 8;
-            let shift = byte % 8;
-            let take = (8 - shift).min(dst.len() - pos);
-            let word = self.words[widx].load(Ordering::Acquire).to_le_bytes();
-            dst[pos..pos + take].copy_from_slice(&word[shift..shift + take]);
-            pos += take;
+        let (head, words) = split(off, dst.len());
+        let (head_dst, rest) = dst.split_at_mut(head);
+        if head > 0 {
+            let shift = off % 8;
+            let word = self.words[off / 8].load(Ordering::Acquire).to_le_bytes();
+            head_dst.copy_from_slice(&word[shift..shift + head]);
+        }
+        let first = (off + head) / 8;
+        let (body, tail) = rest.split_at_mut(words * 8);
+        for (chunk, w) in body
+            .chunks_exact_mut(8)
+            .zip(&self.words[first..first + words])
+        {
+            chunk.copy_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
+        }
+        if !tail.is_empty() {
+            let word = self.words[first + words]
+                .load(Ordering::Acquire)
+                .to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
         }
         Ok(())
     }
@@ -86,33 +97,36 @@ impl Region {
     /// CAS loop so concurrent atomics on neighbouring bytes are not clobbered.
     pub fn write(&self, offset: u64, src: &[u8]) -> Result<()> {
         let off = self.check(offset, src.len())?;
-        let mut pos = 0usize;
-        while pos < src.len() {
-            let byte = off + pos;
-            let widx = byte / 8;
-            let shift = byte % 8;
-            let take = (8 - shift).min(src.len() - pos);
-            if take == 8 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&src[pos..pos + 8]);
-                self.words[widx].store(u64::from_le_bytes(w), Ordering::Release);
-            } else {
-                // Merge the partial word without disturbing the other bytes.
-                let mut mask = [0u8; 8];
-                let mut val = [0u8; 8];
-                for i in 0..take {
-                    mask[shift + i] = 0xFF;
-                    val[shift + i] = src[pos + i];
-                }
-                let mask = u64::from_le_bytes(mask);
-                let val = u64::from_le_bytes(val);
-                let _ = self.words[widx].fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
-                    Some((old & !mask) | val)
-                });
-            }
-            pos += take;
+        let (head, words) = split(off, src.len());
+        let (head_src, rest) = src.split_at(head);
+        if head > 0 {
+            self.merge(off, head_src);
+        }
+        let first = (off + head) / 8;
+        let (body, tail) = rest.split_at(words * 8);
+        for (chunk, w) in body.chunks_exact(8).zip(&self.words[first..first + words]) {
+            let chunk: [u8; 8] = chunk.try_into().expect("chunks_exact yields 8 bytes");
+            w.store(u64::from_le_bytes(chunk), Ordering::Release);
+        }
+        if !tail.is_empty() {
+            self.merge((first + words) * 8, tail);
         }
         Ok(())
+    }
+
+    /// Stores `bytes` (which must not cross a word boundary) at byte `at`
+    /// with a CAS merge, leaving the word's other bytes untouched.
+    fn merge(&self, at: usize, bytes: &[u8]) {
+        let shift = at % 8;
+        let mut mask = [0u8; 8];
+        let mut val = [0u8; 8];
+        mask[shift..shift + bytes.len()].fill(0xFF);
+        val[shift..shift + bytes.len()].copy_from_slice(bytes);
+        let mask = u64::from_le_bytes(mask);
+        let val = u64::from_le_bytes(val);
+        let _ = self.words[at / 8].fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+            Some((old & !mask) | val)
+        });
     }
 
     /// Atomically compare-and-swaps the 8-byte word at `offset`.
@@ -174,28 +188,37 @@ impl Region {
 
     /// Zeroes `len` bytes starting at `offset` (used when blocks are freed).
     pub fn zero(&self, offset: u64, len: usize) -> Result<()> {
-        // Word-at-a-time; partial edges via `write`.
         let off = self.check(offset, len)?;
-        let mut pos = 0usize;
-        while pos < len {
-            let byte = off + pos;
-            if byte.is_multiple_of(8) && len - pos >= 8 {
-                self.words[byte / 8].store(0, Ordering::Release);
-                pos += 8;
-            } else {
-                let take = (8 - byte % 8).min(len - pos);
-                self.write((byte) as u64, &vec![0u8; take])?;
-                pos += take;
-            }
+        let (head, words) = split(off, len);
+        let tail = len - head - words * 8;
+        if head > 0 {
+            self.merge(off, &[0u8; 8][..head]);
+        }
+        let first = (off + head) / 8;
+        for w in &self.words[first..first + words] {
+            w.store(0, Ordering::Release);
+        }
+        if tail > 0 {
+            self.merge((first + words) * 8, &[0u8; 8][..tail]);
         }
         Ok(())
     }
 }
 
+/// Splits the byte range `[off, off + len)` into an unaligned head (the
+/// bytes before the first word boundary, or all of them if the range ends
+/// first) and the number of whole aligned words after it; whatever is left
+/// is the unaligned tail.
+fn split(off: usize, len: usize) -> (usize, usize) {
+    let head = (off.wrapping_neg() % 8).min(len);
+    (head, (len - head) / 8)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Barrier};
 
     fn region(len: usize) -> Region {
         Region::new(NodeId(0), len)
@@ -274,6 +297,112 @@ mod tests {
         assert!(v[5..25].iter().all(|&b| b == 0));
         assert_eq!(v[4], 0xFF);
         assert_eq!(v[25], 0xFF);
+    }
+
+    /// `read`, `write` and `zero` against a byte-array model for every
+    /// offset 0..16 × length 0..80 on an 88-byte region, so ranges end
+    /// inside, exactly at, and past the last word.
+    #[test]
+    fn byte_ops_match_reference_model() {
+        const LEN: usize = 88;
+        let fresh = || {
+            let model: Vec<u8> = (0..LEN)
+                .map(|i| (i as u8).wrapping_mul(37) ^ 0x5A)
+                .collect();
+            let r = region(LEN);
+            for (w, bytes) in model.chunks_exact(8).enumerate() {
+                r.store64(w as u64 * 8, u64::from_le_bytes(bytes.try_into().unwrap()))
+                    .unwrap();
+            }
+            (r, model)
+        };
+        let contents = |r: &Region| -> Vec<u8> {
+            (0..LEN as u64 / 8)
+                .flat_map(|w| r.load64(w * 8).unwrap().to_le_bytes())
+                .collect()
+        };
+        for off in 0..16usize {
+            for len in 0..80usize {
+                let in_bounds = off + len <= LEN;
+                let check = |res: Result<()>| match res {
+                    Ok(()) => assert!(in_bounds, "off {off} len {len} accepted"),
+                    Err(RdmaError::OutOfBounds {
+                        offset,
+                        len: l,
+                        region,
+                        ..
+                    }) => {
+                        assert!(!in_bounds, "off {off} len {len} rejected");
+                        assert_eq!((offset, l, region), (off as u64, len, LEN));
+                    }
+                    Err(e) => panic!("off {off} len {len}: {e}"),
+                };
+                let (r, mut model) = fresh();
+
+                let mut dst = vec![0xEE; len];
+                check(r.read(off as u64, &mut dst));
+                if in_bounds {
+                    assert_eq!(dst, model[off..off + len], "read off {off} len {len}");
+                }
+
+                let src: Vec<u8> = (0..len).map(|i| 0x80 | i as u8).collect();
+                check(r.write(off as u64, &src));
+                if in_bounds {
+                    model[off..off + len].copy_from_slice(&src);
+                }
+                assert_eq!(contents(&r), model, "write off {off} len {len}");
+
+                let (r, mut model) = fresh();
+                check(r.zero(off as u64, len));
+                if in_bounds {
+                    model[off..off + len].fill(0);
+                }
+                assert_eq!(contents(&r), model, "zero off {off} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_read_never_sees_a_torn_word() {
+        const WORDS: usize = 64;
+        const A: u64 = 0x0123_4567_89AB_CDEF;
+        const B: u64 = !A;
+        let r = region(WORDS * 8);
+        let a = A.to_le_bytes().repeat(WORDS);
+        let b = B.to_le_bytes().repeat(WORDS);
+        r.write(0, &a).unwrap();
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let torn = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0.. {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    r.write(0, if i % 2 == 0 { &b } else { &a }).unwrap();
+                }
+            });
+            start.wait();
+            let mut buf = vec![0u8; WORDS * 8];
+            let mut torn = Vec::new();
+            for _ in 0..20_000 {
+                r.read(0, &mut buf).unwrap();
+                torn.extend(
+                    buf.chunks_exact(8)
+                        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                        .filter(|&w| w != A && w != B),
+                );
+            }
+            // Stop the writer before judging, so a failure cannot hang.
+            done.store(true, Ordering::Release);
+            torn
+        });
+        assert!(
+            torn.is_empty(),
+            "torn words observed: {:x?}",
+            &torn[..torn.len().min(4)]
+        );
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub struct DmClient {
     ops: Mutex<OpStats>,
     cur: Mutex<CurOp>,
     fault: Mutex<Option<Arc<FaultPlan>>>,
+    /// Fast-path flag mirroring `fault.is_some()`: verbs skip the fault
+    /// lock entirely while no plan is installed.
+    fault_on: AtomicBool,
     /// Attached completion queue, if this client runs in async mode.
     cq: Mutex<Option<Arc<SimCq>>>,
     /// Fast-path flag mirroring `cq.is_some()`.
@@ -112,6 +115,7 @@ impl DmClient {
             ops: Mutex::new(OpStats::new()),
             cur: Mutex::new(CurOp::default()),
             fault: Mutex::new(None),
+            fault_on: AtomicBool::new(false),
             cq: Mutex::new(None),
             cq_on: AtomicBool::new(false),
             accr: Mutex::new(Accrual::default()),
@@ -200,12 +204,26 @@ impl DmClient {
 
     /// Installs a fault plan intercepting every verb this client issues.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.lock() = Some(plan);
+        let mut g = self.fault.lock();
+        *g = Some(plan);
+        self.fault_on.store(true, Ordering::Release);
     }
 
     /// Removes this client's fault plan, if any.
     pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
+        let mut g = self.fault.lock();
+        *g = None;
+        self.fault_on.store(false, Ordering::Release);
+    }
+
+    /// This client's fault plan, if any; a single load when none is
+    /// installed.
+    #[inline]
+    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.fault_on.load(Ordering::Acquire) {
+            return None;
+        }
+        self.fault.lock().clone()
     }
 
     /// Consults the client-side then the node-side fault plan for one verb.
@@ -220,7 +238,7 @@ impl DmClient {
             len,
         };
         let mut kill_after = false;
-        let plans = [self.fault.lock().clone(), node.fault_plan()];
+        let plans = [self.fault_plan(), node.fault_plan()];
         for plan in plans.into_iter().flatten() {
             match plan.intercept(site) {
                 None => {}
