@@ -18,12 +18,12 @@
 //! Everything is counted or virtual-clocked, so the sweep output is a
 //! pure function of the seed.
 
+use crate::harness::{self, drive_rt, measure};
 use aceso_core::{AcesoConfig, AcesoStore, StoreError};
-use aceso_rdma::{Bottleneck, PhaseMeasurement, SimCq};
+use aceso_rdma::Bottleneck;
 use aceso_rt::Executor;
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{value_for, Op, YcsbWorkload};
-use std::sync::Arc;
+use aceso_workloads::YcsbWorkload;
 
 /// Keys preloaded per sweep point (zipfian 0.99 over these).
 const KEYS: u64 = 1024;
@@ -77,84 +77,35 @@ fn sweep_point(seed: u64, tasks: usize) -> SweepRow {
         ..AcesoConfig::small()
     })
     .expect("launch");
-    let mut loader = store.client().expect("client");
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        loader
-            .insert(&key, &value_for(&key, 0, VALUE_LEN))
-            .expect("preload");
-    }
-    loader.close_open_blocks().expect("close");
+    harness::preload_aceso(&store, YcsbWorkload::preload_keys(KEYS), VALUE_LEN);
     store.cluster.reset_traffic();
 
-    let cq = Arc::new(SimCq::new());
-    let mut exec = Executor::new();
-    // Records come back through a shared cell: each task deposits its
-    // client's measured ops when it finishes.
-    let sink: std::rc::Rc<std::cell::RefCell<Vec<aceso_rdma::OpRecord>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    for t in 0..tasks {
-        let mut client = store.client().expect("client");
-        client.dm.reset_stats();
-        client.dm.attach_cq(Arc::clone(&cq));
-        let mut stream =
-            YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, t as u32, seed);
-        let sink = std::rc::Rc::clone(&sink);
-        exec.spawn(async move {
-            for opno in 0..OPS_PER_TASK {
-                let req = stream.next().expect("ycsb streams are infinite");
-                let val = value_for(&req.key, opno as u64, req.value_len);
-                let res = match req.op {
-                    Op::Search => client.search_async(&req.key).await.map(|_| ()),
-                    Op::Update => client.update_async(&req.key, &val).await,
-                    Op::Insert => client.insert_async(&req.key, &val).await,
-                    Op::Delete => client.delete_async(&req.key).await.map(|_| ()),
-                };
-                match res {
-                    Ok(()) => {}
-                    // Hot-key pile-ups at large C can exhaust the commit
-                    // retry budget; that is contention, not a bug — count
-                    // the op as attempted and move on.
-                    Err(StoreError::RetriesExhausted) => {}
-                    Err(e) => panic!("task {t} op {opno} ({:?}): {e}", req.op),
-                }
-            }
-            client.dm.detach_cq();
-            sink.borrow_mut().extend(client.dm.take_ops().records);
-        });
-    }
-    let stuck = exec.run_until_idle(|| cq.advance_next());
-    assert_eq!(stuck, 0, "sweep point wedged with {stuck} tasks in flight");
-
-    let depth = if cq.now_us() > 0.0 {
-        cq.busy_us() / cq.now_us()
-    } else {
-        0.0
-    };
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let records = std::rc::Rc::try_unwrap(sink)
-        .expect("all tasks done")
-        .into_inner();
-    let m = PhaseMeasurement {
-        n_clients: 1, // One OS thread; overlap comes from measured depth.
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records,
-        pipeline_depth: Some(depth),
-    };
+    let streams =
+        (0..tasks).map(|t| YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, t as u32, seed));
+    let rt = drive_rt(
+        &store,
+        Executor::new(),
+        streams,
+        OPS_PER_TASK,
+        |req, r| match r {
+            Ok(_) => {}
+            // Hot-key pile-ups at large C can exhaust the commit retry
+            // budget; that is contention, not a bug — count the op as
+            // attempted and move on.
+            Err(StoreError::RetriesExhausted) => {}
+            Err(e) => panic!("op ({:?}): {e}", req.op),
+        },
+    );
+    // One OS thread; overlap comes from measured depth.
+    let m = measure(&store.cluster, rt.records, 1, vec![], Some(rt.depth));
     let cost = store.cfg.cost;
     let rep = cost.report(&m);
     let lat = cost.latency(&m, None);
     let row = SweepRow {
         tasks,
-        peak_inflight: exec.peak_inflight(),
-        depth,
-        virtual_us: cq.now_us(),
+        peak_inflight: rt.peak_inflight,
+        depth: rt.depth,
+        virtual_us: rt.virtual_us,
         mops: rep.mops,
         bottleneck: rep.bottleneck,
         p50_us: lat.p50_us,

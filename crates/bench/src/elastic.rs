@@ -12,11 +12,11 @@
 //! Every number is counted or modeled (wall-clock stays out), so the
 //! rendered table is a pure function of the seed.
 
-use aceso_core::{scrub, AcesoConfig, AcesoStore, ElasticStep, StoreError};
+use crate::harness::{self, measure, round_robin};
+use aceso_core::{scrub, AcesoClient, AcesoConfig, AcesoStore, ElasticStep, StoreError};
 use aceso_obs::Registry;
-use aceso_rdma::PhaseMeasurement;
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{value_for, Op, YcsbWorkload};
+use aceso_workloads::YcsbWorkload;
 use std::sync::Arc;
 
 /// Logical clients driven round-robin in one thread.
@@ -87,75 +87,36 @@ pub struct ElasticSlice {
 
 /// Runs `WINDOW_OPS` round-robin ops and measures the window.
 fn run_window(
-    store: &Arc<AcesoStore>,
-    clients: &mut [aceso_core::AcesoClient],
+    store: &AcesoStore,
+    clients: &mut [AcesoClient],
     streams: &mut [YcsbWorkload],
     opno: &mut usize,
     step: String,
 ) -> WindowRow {
-    store.cluster.reset_traffic();
-    for c in clients.iter() {
-        c.dm.reset_stats();
-    }
-    let (mut committed, mut attempted) = (0usize, 0usize);
-    for _ in 0..WINDOW_OPS {
-        let i = *opno % CLIENTS;
-        let req = streams[i].next().expect("ycsb streams are infinite");
-        let val = value_for(&req.key, *opno as u64, req.value_len);
-        *opno += 1;
-        attempted += 1;
-        let res = match req.op {
-            Op::Search => clients[i].search(&req.key).map(|_| ()),
-            Op::Update => clients[i].update(&req.key, &val),
-            Op::Insert => clients[i].insert(&req.key, &val),
-            Op::Delete => clients[i].delete(&req.key).map(|_| ()),
-        };
-        match res {
-            Ok(()) => committed += 1,
-            // A fence storm right at a step boundary can exhaust one
-            // op's commit budget; that is backpressure, not corruption —
-            // the scrub below proves the store stayed intact.
-            Err(StoreError::RetriesExhausted) => {}
-            Err(e) => panic!("window '{step}' op ({:?}): {e}", req.op),
-        }
-    }
-    let mut records = Vec::with_capacity(WINDOW_OPS);
-    for c in clients.iter_mut() {
-        records.extend(c.dm.take_ops().records);
-    }
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let m = PhaseMeasurement {
-        n_clients: SIM_CLIENTS,
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records,
-        pipeline_depth: None,
-    };
-    let mops = store.cfg.cost.report(&m).mops;
+    let mut committed = 0;
+    let opnos = *opno..*opno + WINDOW_OPS;
+    *opno = opnos.end;
+    let records = round_robin(&store.cluster, clients, streams, opnos, |req, r| match r {
+        Ok(_) => committed += 1,
+        // A fence storm right at a step boundary can exhaust one op's
+        // commit budget; that is backpressure, not corruption — the
+        // scrub below proves the store stayed intact.
+        Err(StoreError::RetriesExhausted) => {}
+        Err(e) => panic!("window '{step}' op ({:?}): {e}", req.op),
+    });
+    let m = measure(&store.cluster, records, SIM_CLIENTS, vec![], None);
     WindowRow {
+        mops: store.cfg.cost.report(&m).mops,
         step,
         committed,
-        attempted,
-        mops,
+        attempted: WINDOW_OPS,
     }
 }
 
 /// Measures one migration kind end to end.
 pub(crate) fn run_phase(seed: u64, kind: Kind) -> ElasticPhase {
     let store = AcesoStore::launch(AcesoConfig::small()).expect("launch");
-    let mut loader = store.client().expect("client");
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        loader
-            .insert(&key, &value_for(&key, 0, VALUE_LEN))
-            .expect("preload");
-    }
-    loader.close_open_blocks().expect("close");
+    harness::preload_aceso(&store, YcsbWorkload::preload_keys(KEYS), VALUE_LEN);
 
     let registry = Registry::new();
     store.install_recorder(Arc::clone(&registry));
@@ -195,15 +156,8 @@ pub(crate) fn run_phase(seed: u64, kind: Kind) -> ElasticPhase {
         c.flush_bitmaps().expect("flush");
     }
     let scrub_clean = scrub(&store).expect("scrub").is_clean();
-    let counter = |name: &str| -> u64 {
-        registry
-            .snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n.as_str() == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    let snap = registry.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let phase = ElasticPhase {
         kind,
         rows,

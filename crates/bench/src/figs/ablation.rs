@@ -80,18 +80,8 @@ pub fn ablation_recovery(scale: BenchScale) -> FigureOutput {
             ..harness::bench_aceso_config()
         };
         let store = AcesoStore::launch(cfg).unwrap();
-        let mut client = store.client().unwrap();
-        for req in
-            MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len).take(scale.keys as usize)
-        {
-            client
-                .insert(
-                    &req.key,
-                    &aceso_workloads::value_for(&req.key, 0, req.value_len),
-                )
-                .unwrap();
-        }
-        client.close_open_blocks().unwrap();
+        let keys = MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len);
+        harness::preload_aceso(&store, keys.preload_keys(), scale.value_len);
         store.checkpoint_tick().unwrap();
         store.checkpoint_tick().unwrap();
         store.kill_mn(2);

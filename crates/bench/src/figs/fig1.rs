@@ -9,7 +9,7 @@ use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
 use aceso_core::AcesoStore;
 use aceso_fusee::{FuseeConfig, FuseeStore};
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::Op;
 
 /// Figure 1(a): replica-count sweep on FUSEE.
 pub fn fig1a(scale: BenchScale) -> FigureOutput {
@@ -22,38 +22,16 @@ pub fn fig1a(scale: BenchScale) -> FigureOutput {
     for r in 1..=3usize {
         let mut row = format!("{r:8} |");
         for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-            let scale = BenchScale {
-                warmup: if matches!(op, Op::Insert | Op::Delete) {
-                    0
-                } else {
-                    scale.warmup
-                },
-                ..scale
-            };
+            let scale = scale.for_op(op);
             let cfg = FuseeConfig {
                 replicas: r,
                 ..harness::bench_fusee_config()
             };
             let store = FuseeStore::launch(cfg);
-            // SEARCH/UPDATE/DELETE phases operate on preloaded keys.
-            if op != Op::Insert {
-                for t in 0..scale.threads as u32 {
-                    harness::preload_fusee(
-                        &store,
-                        MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                        scale.value_len,
-                    );
-                }
-            }
-            // INSERT phases use fresh keys (thread ids shifted past the
-            // preloaded range), the others hit the preloaded keys.
-            let phase = harness::fusee_phase(&store, scale, |t| {
-                let base = if op == Op::Insert { t + 100 } else { t };
-                MicroWorkload::new(base, op, scale.keys, scale.value_len)
-            });
+            harness::preload_micro_fusee(&store, scale, op);
+            let phase = harness::fusee_phase(&store, scale, harness::micro(scale, op));
             let rep = phase.report();
-            let avg_cas: f64 = phase.m.records.iter().map(|x| x.cas as f64).sum::<f64>()
-                / phase.m.records.len().max(1) as f64;
+            let avg_cas = harness::mean(&phase.m.records, None, |x| x.cas);
             row.push_str(&format!(" {:7.2} | {:4.2} cas |", rep.mops, avg_cas));
         }
         text.push_str(&row);
@@ -76,29 +54,12 @@ pub fn fig1b(scale: BenchScale) -> FigureOutput {
         let rate = (ckpt_mb << 20) as f64 / 0.5;
         let mut row = format!("{ckpt_mb:6} MB |");
         for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-            let scale = BenchScale {
-                warmup: if matches!(op, Op::Insert | Op::Delete) {
-                    0
-                } else {
-                    scale.warmup
-                },
-                ..scale
-            };
+            let scale = scale.for_op(op);
             let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-            if op != Op::Insert {
-                for t in 0..scale.threads as u32 {
-                    harness::preload_aceso(
-                        &store,
-                        MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                        scale.value_len,
-                    );
-                }
-            }
-            let bg = harness::uniform_bg(store.cfg.num_mns, rate);
-            let phase = harness::aceso_phase(&store, scale, bg, |t| {
-                let base = if op == Op::Insert { t + 100 } else { t };
-                MicroWorkload::new(base, op, scale.keys, scale.value_len)
-            });
+            harness::preload_micro_aceso(&store, scale, op);
+            let bg = vec![rate; store.cfg.num_mns];
+            let phase =
+                harness::aceso_phase(&store, scale, scale.tuning(), bg, harness::micro(scale, op));
             row.push_str(&format!(" {:7.2} |", phase.report().mops));
             store.shutdown();
         }

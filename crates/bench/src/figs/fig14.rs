@@ -9,26 +9,26 @@
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
 use aceso_core::{recover_mn_with, AcesoConfig, AcesoStore};
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::Op;
+use std::sync::Arc;
 
-fn search_phase(store: &std::sync::Arc<AcesoStore>, scale: BenchScale) -> f64 {
-    let phase = harness::aceso_phase(store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Search, scale.keys, scale.value_len)
-    });
+/// Throughput of one measured `op` phase over the preloaded keys.
+fn mops(store: &Arc<AcesoStore>, scale: BenchScale, op: Op) -> f64 {
+    let phase = harness::aceso_phase(
+        store,
+        scale,
+        scale.tuning(),
+        vec![],
+        harness::micro(scale, op),
+    );
     phase.report().mops
 }
 
 /// Degraded SEARCH vs normal SEARCH.
 pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
     let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Search, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
-    let normal = search_phase(&store, scale);
+    harness::preload_micro_aceso(&store, scale, Op::Search);
+    let normal = mops(&store, scale, Op::Search);
 
     // Two rounds so the preloaded blocks are strictly *older* than the
     // checkpoint and stay lost after Index-tier-only recovery.
@@ -36,7 +36,7 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
     store.checkpoint_tick().unwrap();
     store.kill_mn(1);
     recover_mn_with(&store, 1, false).unwrap(); // Index tier only.
-    let degraded = search_phase(&store, scale);
+    let degraded = mops(&store, scale, Op::Search);
     store.shutdown();
     (normal, degraded)
 }
@@ -45,17 +45,8 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
 pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
     // Normal: plenty of space, no reclamation.
     let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
-    let phase = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    let normal = phase.report().mops;
+    harness::preload_micro_aceso(&store, scale, Op::Update);
+    let normal = mops(&store, scale, Op::Update);
     store.shutdown();
 
     // Special: a pool small enough that updates run on reclaimed blocks.
@@ -69,22 +60,10 @@ pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
         ..cfg
     })
     .unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
+    harness::preload_micro_aceso(&store, scale, Op::Update);
     // Warm up through one full overwrite cycle so reclamation kicks in.
-    let warm = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    drop(warm);
-    let phase = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    let special = phase.report().mops;
+    mops(&store, scale, Op::Update);
+    let special = mops(&store, scale, Op::Update);
     store.shutdown();
     (normal, special)
 }

@@ -3,9 +3,7 @@
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
-use aceso_core::AcesoStore;
-use aceso_fusee::FuseeStore;
-use aceso_workloads::{MixedWorkload, OpMix, YcsbWorkload};
+use aceso_workloads::{MixedWorkload, OpMix};
 
 /// Runs the update-ratio sweep.
 pub fn fig15(scale: BenchScale) -> FigureOutput {
@@ -19,32 +17,10 @@ pub fn fig15(scale: BenchScale) -> FigureOutput {
             insert: 0.0,
             delete: 0.0,
         };
-        let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-        harness::preload_aceso(
-            &store,
-            YcsbWorkload::preload_keys(scale.keys),
-            scale.value_len,
-        );
-        let bg = harness::ckpt_bg_rate(&store, store.cfg.ckpt_interval_ms);
-        let a = harness::aceso_phase(&store, scale, bg, |t| {
+        let (a, f) = harness::aceso_vs_fusee(scale, |t| {
             MixedWorkload::new(mix, scale.keys, 0.99, scale.value_len, t, 42)
         });
-        store.shutdown();
-
-        let fstore = FuseeStore::launch(harness::bench_fusee_config());
-        harness::preload_fusee(
-            &fstore,
-            YcsbWorkload::preload_keys(scale.keys),
-            scale.value_len,
-        );
-        let f = harness::fusee_phase(&fstore, scale, |t| {
-            MixedWorkload::new(mix, scale.keys, 0.99, scale.value_len, t, 42)
-        });
-        text.push_str(&format!(
-            "{pct:6}% | {:7.2} | {:7.2}\n",
-            a.report().mops,
-            f.report().mops
-        ));
+        text.push_str(&format!("{pct:6}% | {a:7.2} | {f:7.2}\n"));
     }
     FigureOutput {
         id: "Figure 15",

@@ -27,41 +27,23 @@ fn store_with_capacity(keys: u64, value_len: usize) -> Arc<AcesoStore> {
 }
 
 /// Writes `keys` KVs, checkpoints, optionally writes `post_keys` more, then
-/// kills one MN and recovers it.
-fn crash_and_recover(keys: u64, post_keys: u64, value_len: usize) -> RecoveryReport {
+/// kills one MN and recovers it (also Table 2's setup).
+pub fn crash_and_recover(keys: u64, post_keys: u64, value_len: usize) -> RecoveryReport {
     let store = store_with_capacity(keys + post_keys, value_len);
-    let mut client = store.client().unwrap();
-    for req in MicroWorkload::new(0, Op::Insert, keys, value_len).take(keys as usize) {
-        client
-            .insert(
-                &req.key,
-                &aceso_workloads::value_for(&req.key, 0, req.value_len),
-            )
-            .unwrap();
-    }
-    client.close_open_blocks().unwrap();
+    let load = |client, n| {
+        let keys = MicroWorkload::new(client, Op::Insert, n, value_len);
+        harness::preload_aceso(&store, keys.preload_keys(), value_len);
+    };
+    load(0, keys);
     // Two rounds: the preloaded blocks become strictly older than the
     // checkpoint (the Block tier's work), only `post_keys` stay "new".
     store.checkpoint_tick().unwrap();
     store.checkpoint_tick().unwrap();
-    for req in MicroWorkload::new(1000, Op::Insert, post_keys, value_len).take(post_keys as usize) {
-        client
-            .insert(
-                &req.key,
-                &aceso_workloads::value_for(&req.key, 0, req.value_len),
-            )
-            .unwrap();
-    }
-    client.close_open_blocks().unwrap();
+    load(1000, post_keys);
     store.kill_mn(2);
     let report = recover_mn(&store, 2).unwrap();
     store.shutdown();
     report
-}
-
-/// Public wrapper for Table 2's use of the same crash/recover setup.
-pub fn crash_and_recover_public(keys: u64, post_keys: u64, value_len: usize) -> RecoveryReport {
-    crash_and_recover(keys, post_keys, value_len)
 }
 
 /// Figure 16: lost-data-size sweep.
@@ -94,17 +76,10 @@ pub fn fig17(scale: BenchScale) -> FigureOutput {
         let mut row = format!("{interval_ms:5} ms |");
         for op in [Op::Update, Op::Search] {
             let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-            for t in 0..scale.threads as u32 {
-                harness::preload_aceso(
-                    &store,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
+            harness::preload_micro_aceso(&store, scale, op);
             let bg = harness::ckpt_bg_rate(&store, interval_ms);
-            let phase = harness::aceso_phase(&store, scale, bg, |t| {
-                MicroWorkload::new(t, op, scale.keys, scale.value_len)
-            });
+            let phase =
+                harness::aceso_phase(&store, scale, scale.tuning(), bg, harness::micro(scale, op));
             row.push_str(&format!(" {:7.2} |", phase.report().mops));
             store.shutdown();
         }

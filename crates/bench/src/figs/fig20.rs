@@ -8,7 +8,7 @@
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
 use aceso_core::{recover_mn, AcesoConfig, AcesoStore};
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::Op;
 
 fn cfg_for_block_size(bs: u64, keys: u64, value_len: usize) -> AcesoConfig {
     let base = harness::bench_aceso_config();
@@ -30,16 +30,9 @@ pub fn fig20(scale: BenchScale) -> FigureOutput {
         let bs = bs_kb << 10;
         let store =
             AcesoStore::launch(cfg_for_block_size(bs, scale.keys, scale.value_len)).unwrap();
-        for t in 0..scale.threads as u32 {
-            harness::preload_aceso(
-                &store,
-                MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-                scale.value_len,
-            );
-        }
-        let mut phase = harness::aceso_phase(&store, scale, vec![], |t| {
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-        });
+        harness::preload_micro_aceso(&store, scale, Op::Update);
+        let updates = harness::micro(scale, Op::Update);
+        let mut phase = harness::aceso_phase(&store, scale, scale.tuning(), vec![], updates);
         phase.uniformize();
         let mops = phase.report().mops;
         store.checkpoint_tick().unwrap();

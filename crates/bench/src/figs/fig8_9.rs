@@ -6,7 +6,7 @@ use crate::harness::{self, BenchScale, Phase};
 use aceso_core::AcesoStore;
 use aceso_fusee::FuseeStore;
 use aceso_rdma::OpKind;
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::Op;
 
 fn op_kind(op: Op) -> OpKind {
     match op {
@@ -22,48 +22,18 @@ fn op_kind(op: Op) -> OpKind {
 pub fn micro_phases(scale: BenchScale) -> Vec<(Op, Phase, Phase)> {
     let mut out = Vec::new();
     for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-        // One-shot ops (INSERT of fresh keys, DELETE) measure cold; UPDATE
-        // and SEARCH measure warm steady state like the paper.
-        let scale = BenchScale {
-            warmup: if matches!(op, Op::Insert | Op::Delete) {
-                0
-            } else {
-                scale.warmup
-            },
-            ..scale
-        };
+        let scale = scale.for_op(op);
         // Aceso, with live checkpoint interference at the default 500 ms.
         let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-        if op != Op::Insert {
-            for t in 0..scale.threads as u32 {
-                harness::preload_aceso(
-                    &store,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
-        }
+        harness::preload_micro_aceso(&store, scale, op);
         let bg = harness::ckpt_bg_rate(&store, store.cfg.ckpt_interval_ms);
-        let aceso = harness::aceso_phase(&store, scale, bg, |t| {
-            let base = if op == Op::Insert { t + 100 } else { t };
-            MicroWorkload::new(base, op, scale.keys, scale.value_len)
-        });
+        let aceso =
+            harness::aceso_phase(&store, scale, scale.tuning(), bg, harness::micro(scale, op));
         store.shutdown();
 
         let fstore = FuseeStore::launch(harness::bench_fusee_config());
-        if op != Op::Insert {
-            for t in 0..scale.threads as u32 {
-                harness::preload_fusee(
-                    &fstore,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
-        }
-        let fusee = harness::fusee_phase(&fstore, scale, |t| {
-            let base = if op == Op::Insert { t + 100 } else { t };
-            MicroWorkload::new(base, op, scale.keys, scale.value_len)
-        });
+        harness::preload_micro_fusee(&fstore, scale, op);
+        let fusee = harness::fusee_phase(&fstore, scale, harness::micro(scale, op));
         out.push((op, aceso, fusee));
     }
     out
@@ -77,21 +47,13 @@ pub fn fig8(scale: BenchScale) -> FigureOutput {
     for (op, a, f) in micro_phases(scale) {
         let (ar, fr) = (a.report(), f.report());
         let prof = |p: &Phase| {
-            let n = p.m.records.len().max(1) as f64;
-            let (v, c, b, r) = p.m.records.iter().fold((0u64, 0u64, 0u64, 0u64), |acc, x| {
-                (
-                    acc.0 + x.verbs as u64,
-                    acc.1 + x.cas as u64,
-                    acc.2 + x.read_bytes as u64 + x.write_bytes as u64,
-                    acc.3 + x.rtts as u64,
-                )
-            });
+            let mean = |f: fn(&aceso_rdma::OpRecord) -> u32| harness::mean(&p.m.records, None, f);
             format!(
                 "verbs {:.1} cas {:.1} bytes {:.0} rtts {:.1}",
-                v as f64 / n,
-                c as f64 / n,
-                b as f64 / n,
-                r as f64 / n
+                mean(|x| x.verbs),
+                mean(|x| x.cas),
+                mean(|x| x.read_bytes + x.write_bytes),
+                mean(|x| x.rtts)
             )
         };
         text.push_str(&format!(

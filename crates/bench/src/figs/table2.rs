@@ -74,8 +74,7 @@ fn row(name: &str, r: &RecoveryReport, tpt: f64) -> String {
 pub fn table2(scale: BenchScale) -> FigureOutput {
     // Build up state and crash one MN (mirrors the Degraded Search setup
     // but recovering all three areas).
-    let report =
-        super::fig16_18::crash_and_recover_public(scale.keys, scale.keys / 10, scale.value_len);
+    let report = super::fig16_18::crash_and_recover(scale.keys, scale.keys / 10, scale.value_len);
 
     let (xor_gbs, rs_gbs) = codec_throughput();
     // The RS variant scales the decode-compute stages by the kernels'

@@ -1,5 +1,5 @@
-//! Benchmark harness shared by the `figures` binary and the Criterion
-//! kernels.
+//! Benchmark harness shared by the `figures` and `bench` binaries and
+//! the Criterion kernels.
 //!
 //! Every performance figure follows the same recipe:
 //!
@@ -20,12 +20,14 @@ pub mod clients;
 pub mod elastic;
 pub mod figs;
 pub mod harness;
+pub mod quick;
 pub mod skew;
 pub mod table3;
 
 pub use clients::{clients_sweep, ClientsSweep, SweepRow};
 pub use elastic::{elastic_slice, ElasticPhase, ElasticSlice};
 pub use harness::{BenchScale, Phase};
+pub use quick::{quick_slice, Quick};
 pub use skew::{skew_sweep, SkewRow, SkewSweep};
 pub use table3::{table3_slice, Table3Row, Table3Slice};
 

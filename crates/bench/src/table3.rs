@@ -26,11 +26,12 @@
 //! milliseconds), so the rendered table is a pure function of the seed
 //! and `results/table3.txt` is diffed byte-for-byte in CI.
 
+use crate::harness::{self, measure};
 use aceso_core::FtEngine;
 use aceso_engines::swarm::SwarmConfig;
 use aceso_engines::{launch, EngineKind, FuseeEngine, SwarmEngine};
 use aceso_fusee::FuseeConfig;
-use aceso_rdma::{Bottleneck, CostModel, OpKind, PhaseMeasurement};
+use aceso_rdma::{Bottleneck, CostModel, OpKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,25 +109,14 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
             c.search(key).expect("measured search");
         }
     }
-    let ops = c.take_ops();
-    let mean = |kind: OpKind, f: &dyn Fn(&aceso_rdma::OpRecord) -> u32| -> f64 {
-        let recs: Vec<_> = ops.records.iter().filter(|r| r.kind == kind).collect();
-        recs.iter().map(|r| f(r) as u64).sum::<u64>() as f64 / recs.len() as f64
-    };
-    let node_fg: Vec<_> = eng
-        .cluster()
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let m = PhaseMeasurement {
-        n_clients: SIM_CLIENTS,
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records: ops.records.clone(),
-        pipeline_depth: None,
-    };
+    let m = measure(
+        eng.cluster(),
+        c.take_ops().records,
+        SIM_CLIENTS,
+        vec![],
+        None,
+    );
+    let mean = |kind, f: fn(&aceso_rdma::OpRecord) -> u32| harness::mean(&m.records, Some(kind), f);
     // Every engine config in this slice carries the default NIC model, so
     // one shared instance keeps the throughput column apples-to-apples.
     let rep = CostModel::default().report(&m);
@@ -144,9 +134,9 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
 
     let row = Table3Row {
         label,
-        update_rtts: mean(OpKind::Update, &|r| r.rtts),
-        update_verbs: mean(OpKind::Update, &|r| r.verbs),
-        search_rtts: mean(OpKind::Search, &|r| r.rtts),
+        update_rtts: mean(OpKind::Update, |r| r.rtts),
+        update_verbs: mean(OpKind::Update, |r| r.verbs),
+        search_rtts: mean(OpKind::Search, |r| r.rtts),
         mops: rep.mops,
         bottleneck: rep.bottleneck,
         overhead: space.overhead_factor(),
